@@ -4,7 +4,7 @@ The analysis rests on two structural assumptions about an instance:
 
 * main-lobe dominance: an aligned link into a receiver is never weaker
   than any side-lobe link into the same receiver, and
-* diagonal dominance: every arranged Gram matrix I + P M M^H is
+* diagonal dominance: every cut block's Gram matrix I + P M M^H is
   (weakly) diagonally dominant across all (pattern, cut) pairs.
 
 Under both, the imperfect and ideal capacities differ by at most
@@ -24,9 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .capacity import capacity_ideal, capacity_imperfect, link_rates, rate_tsn
 from .enumeration import EnumerationCaps, StateSpace, build_state_space
-from .matrices import cut_dominance_ratio, cut_state_matrix
+from .matrices import CutBlockTables, cut_block_tables
 from .model import AlignmentPattern, Cut, NetworkInstance, max_degree
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
 ]
 
 GAP_TOL = 1e-6
+RHO_TIE_RTOL = 1e-12
 
 
 class DominanceViolatedError(RuntimeError):
@@ -123,26 +126,34 @@ class GapReport:
     schedule_supports: dict[str, int]
 
 
-def _dominance_sweep(inst: NetworkInstance, space: StateSpace):
-    """Max dominance ratio over all (pattern, cut) Gram matrices."""
-    max_rho = 0.0
-    worst = None
-    for pattern in space.patterns:
-        for cut in space.cuts:
-            rho = cut_dominance_ratio(cut_state_matrix(inst, pattern, cut), inst.power)
-            if worst is None or rho > max_rho:
-                max_rho = rho
-                worst = (pattern, cut, rho)
-    return max_rho, worst
+def _dominance_sweep(
+    inst: NetworkInstance, space: StateSpace, blocks: CutBlockTables | None = None
+):
+    """Max dominance ratio over all (pattern, cut) Gram matrices.
+
+    The witness is the first maximum with patterns outer and cuts inner.
+    Ratios within RHO_TIE_RTOL of the maximum tie with it, so that the
+    rounding of equal blocks built in a different node order cannot
+    move the witness.
+    """
+    rho = (blocks or cut_block_tables(inst, space)).rho.T
+    max_rho = float(rho.max())
+    tied = rho >= max_rho - RHO_TIE_RTOL * max(1.0, max_rho)
+    pk, ck = divmod(int(np.argmax(tied)), rho.shape[1])
+    return max_rho, (space.patterns[pk], space.cuts[ck], max_rho)
 
 
 def check_assumptions(
-    inst: NetworkInstance, space: StateSpace | None = None
+    inst: NetworkInstance,
+    space: StateSpace | None = None,
+    blocks: CutBlockTables | None = None,
 ) -> AssumptionReport:
     """Evaluate both structural assumptions on one instance.
 
     Main-lobe violations are reported as (i, j, k) triples: the aligned
     link i -> j would be weaker than the side lobe from k into j.
+    ``blocks`` are this instance's and space's cut-block tables when the
+    caller already has them.
     """
     space = space or build_state_space(inst)
     violations = []
@@ -156,7 +167,7 @@ def check_assumptions(
                     inst.channel[j, k]
                 ):
                     violations.append((i, j, k))
-    max_rho, worst = _dominance_sweep(inst, space)
+    max_rho, worst = _dominance_sweep(inst, space, blocks)
     return AssumptionReport(
         main_lobe_stronger=not violations,
         main_lobe_violations=tuple(violations),
@@ -294,7 +305,7 @@ def verify_instance(
     imperfect = capacity_imperfect(inst, space)
     ideal = capacity_ideal(inst, space=space)
     tsn = rate_tsn(inst, space)
-    assumptions = check_assumptions(inst, space)
+    assumptions = check_assumptions(inst, space, imperfect.blocks)
 
     if n == 0:
         bound = 0.0

@@ -3,8 +3,8 @@
 Three max-min objectives share one LP core and differ only in how a
 (pattern, cut) pair is valued:
 
-* ``capacity_imperfect`` -- log-det of the arranged cut/state block,
-  side lobes included.  This is the general model.
+* ``capacity_imperfect`` -- log-det of the cut block under the
+  pattern, side lobes included.  This is the general model.
 * ``capacity_ideal`` -- sum of ideal point-to-point link rates over the
   aligned cross-cut links (the beta = 0 degeneration).
 * ``rate_tsn`` -- same LP as the ideal model but with every link rate
@@ -16,12 +16,12 @@ All rates are bits per channel use, logs base 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .enumeration import StateSpace, build_state_space
-from .matrices import cut_state_matrix, log_det_capacity
+from .matrices import CutBlockTables, cut_block_tables
 from .model import Cut, NetworkInstance
 from .optimize import MaxMinProblem, Schedule, decompose_edge_fractions, solve_edge_lp, solve_maxmin
 
@@ -110,14 +110,13 @@ def link_rates(inst: NetworkInstance) -> LinkRates:
     return LinkRates(ideal=ideal, tsn=tsn, leakage=leakage)
 
 
-def imperfect_value_table(inst: NetworkInstance, space: StateSpace) -> MaxMinProblem:
-    """V[cut, pattern] = log-det capacity of the arranged channel block."""
-    v = np.zeros((len(space.cuts), len(space.patterns)))
-    for pk, pattern in enumerate(space.patterns):
-        for ck, cut in enumerate(space.cuts):
-            csm = cut_state_matrix(inst, pattern, cut)
-            v[ck, pk] = log_det_capacity(csm, inst.power)
-    return MaxMinProblem(values=v)
+def imperfect_value_table(inst: NetworkInstance, space: StateSpace) -> CutBlockTables:
+    """V[cut, pattern] = log-det capacity of the cut block under the pattern.
+
+    The tables also hold every block's dominance ratio; see
+    ``cut_block_tables``.
+    """
+    return cut_block_tables(inst, space)
 
 
 def linear_value_table(
@@ -148,17 +147,24 @@ class CapacityResult:
     """A capacity value with the schedule that achieves it.
 
     ``per_cut_values`` maps each cut to the value the returned schedule
-    achieves across it; ``value`` is their minimum.
+    achieves across it; ``value`` is their minimum.  ``blocks`` holds the
+    imperfect model's cut-block tables, whose dominance ratios the
+    assumption check can reuse; it is None for the other models.
     """
 
     value: float
     schedule: Schedule
     model_tag: str
     per_cut_values: dict[Cut, float]
+    blocks: CutBlockTables | None = field(default=None, repr=False, compare=False)
 
 
 def _result_from_schedule(
-    space: StateSpace, table: MaxMinProblem, schedule: Schedule, tag: str
+    space: StateSpace,
+    table: MaxMinProblem,
+    schedule: Schedule,
+    tag: str,
+    blocks: CutBlockTables | None = None,
 ) -> CapacityResult:
     lam = np.zeros(len(space.patterns))
     for k, w in schedule.weights.items():
@@ -171,6 +177,7 @@ def _result_from_schedule(
         schedule=replace(schedule, value=value),
         model_tag=tag,
         per_cut_values=per_cut_values,
+        blocks=blocks,
     )
 
 
@@ -179,9 +186,10 @@ def capacity_imperfect(
 ) -> CapacityResult:
     """Approximate capacity of the side-lobe (imperfect beamforming) model."""
     space = space or build_state_space(inst)
-    table = imperfect_value_table(inst, space)
+    blocks = imperfect_value_table(inst, space)
+    table = MaxMinProblem(values=blocks.values)
     schedule = solve_maxmin(table)
-    return _result_from_schedule(space, table, schedule, "imperfect")
+    return _result_from_schedule(space, table, schedule, "imperfect", blocks)
 
 
 def capacity_ideal(

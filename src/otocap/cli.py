@@ -118,13 +118,19 @@ def instance_from_doc(doc: dict) -> NetworkInstance:
         if key not in doc:
             raise InstanceFormatError(f"missing required field {key!r}")
     n = doc["num_relays"]
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InstanceFormatError(f"num_relays must be a nonnegative integer, got {n!r}")
+    for key in ("power", "alpha", "beta"):
+        if isinstance(doc[key], bool):
+            raise InstanceFormatError(f"{key} must be a number, got {doc[key]!r}")
     links: dict[tuple[int, int], complex] = {}
     for entry_ in doc["links"]:
         try:
-            i, j = int(entry_["from"]), int(entry_["to"])
-            gain = complex(float(entry_["re"]), float(entry_["im"]))
+            fields = [entry_[key] for key in ("from", "to", "re", "im")]
+            if any(isinstance(v, bool) for v in fields):
+                raise TypeError("booleans are not numbers here")
+            i, j = int(fields[0]), int(fields[1])
+            gain = complex(float(fields[2]), float(fields[3]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceFormatError(f"malformed link entry {entry_!r}") from exc
         if (i, j) in links:
@@ -481,3 +487,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,7 +1,7 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracle helpers deliberately avoid the library's own computation
-paths (recursive pattern search, Cholesky log-det, value-table
+paths (recursive pattern search, batched cut-block kernel, value-table
 assembly) so that agreement between the two routes is evidence, not
 tautology.
 """
@@ -148,3 +148,40 @@ def raw_state_capacities(inst):
     return tuple(
         oc.solve_maxmin(oc.MaxMinProblem(v)).value for v in (v_imp, v_ideal, v_tsn)
     )
+
+
+def per_pair_tables(inst, space):
+    """(V, rho)[cut, pattern] built one arranged block at a time.
+
+    This is the per-pair route through ``cut_state_matrix`` that the
+    batched kernel replaces: every (pattern, cut) block is built from the
+    full effective channel and arranged, with no deduplication.
+    """
+    v = np.zeros((len(space.cuts), len(space.patterns)))
+    rho = np.zeros_like(v)
+    for pk, pattern in enumerate(space.patterns):
+        for ck, cut in enumerate(space.cuts):
+            csm = oc.cut_state_matrix(inst, pattern, cut)
+            v[ck, pk] = oc.log_det_capacity(csm, inst.power)
+            rho[ck, pk] = oc.cut_dominance_ratio(csm, inst.power)
+    return v, rho
+
+
+def mp_cut_log_det(inst, aligned, cut, digits=60):
+    """log2 det(I + P M M^H) of one cut block, at ``digits`` digits.
+
+    M has rows Omega^c and columns Omega, side lobes at beta and the
+    ``aligned`` (tx, rx) pairs at alpha.  Every product is taken in
+    mpmath, so only the float inputs are shared with the library.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        def entry(j, i):
+            gain = inst.alpha if (i, j) in aligned else inst.beta
+            h = inst.channel[j, i]
+            return mpmath.mpf(gain) * mpmath.mpc(h.real, h.imag)
+
+        m = mpmath.matrix([[entry(j, i) for i in cut.omega] for j in cut.complement])
+        gram = mpmath.eye(m.rows) + mpmath.mpf(inst.power) * m * m.H
+        return float(mpmath.log(mpmath.re(mpmath.det(gram)), 2))

@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +71,29 @@ def test_load_rejects_schema_violations():
         instance_from_doc([base])
     with pytest.raises(InstanceFormatError, match="cannot read"):
         load_instance("/nonexistent/inst.json")
+
+
+BOOL_FIELDS = ["num_relays", "power", "alpha", "beta", "from", "to", "re", "im"]
+
+
+@pytest.mark.parametrize("field", BOOL_FIELDS)
+def test_capacity_rejects_boolean_fields_exit_2(tmp_path, capsys, field):
+    # isinstance(True, int) holds and float(True) is 1.0, so a boolean
+    # would otherwise pass as the number 1: every field set to True here
+    # held 1 (or a value that 1 also makes valid) before.
+    doc = {"num_relays": 1, "power": 1.0, "alpha": 1.0, "beta": 0.0,
+           "links": [{"from": 0, "to": 1, "re": 1.0, "im": 0.0},
+                     {"from": 1, "to": 2, "re": 1.0, "im": 0.0}]}
+    if field in doc:
+        doc[field] = True
+    else:
+        doc["links"][1 if field == "from" else 0][field] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["capacity", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_load_rejects_invalid_json(tmp_path):
@@ -298,3 +325,25 @@ def test_argparse_rejections_raise_systemexit(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", path, "--param", "gamma", "--from", "0", "--to", "1"])
     assert exc.value.code == 2
+
+
+def _run_module(*args):
+    src = str(Path(oc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "otocap.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point_prints_payload(tmp_path):
+    inst, path = write_instance(tmp_path, topology="line", relays=1)
+    proc = _run_module("capacity", path, "--model", "ideal")
+    assert proc.returncode == 0, proc.stderr
+    (result,) = json.loads(proc.stdout)["results"]
+    assert result["model"] == "ideal"
+    assert math.isclose(result["value_bits"], oc.capacity_ideal(inst).value,
+                        rel_tol=1e-12)
+
+    helped = _run_module("--help")
+    assert helped.returncode == 0
+    assert helped.stdout.startswith("usage: otocap")

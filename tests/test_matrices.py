@@ -1,4 +1,5 @@
-"""Cut submatrices, diagonal arrangement, log-det values, and det bounds."""
+"""Cut submatrices, diagonal arrangement, log-det values, det bounds, and
+the batched cut-block kernel."""
 
 import math
 
@@ -6,7 +7,15 @@ import numpy as np
 import pytest
 
 import otocap as oc
-from conftest import diamond_instance, line_instance, logdet_oracle, random_instance
+from otocap.matrices import _group_rows
+from conftest import (
+    diamond_instance,
+    line_instance,
+    logdet_oracle,
+    mp_cut_log_det,
+    per_pair_tables,
+    random_instance,
+)
 
 
 def test_cut_submatrix_line_shapes_and_entries():
@@ -225,3 +234,111 @@ def test_aligned_diagonal_invariant():
                     expected = inst.alpha * inst.channel[rx, tx]
                 assert (tx, rx) == (i, j)
                 assert csm.m[k, k] == expected
+
+
+# -- batched cut-block kernel ---------------------------------------------
+
+KERNEL_RTOL = 1e-12
+
+
+def assert_tables_close(got, want):
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert float(err.max()) <= KERNEL_RTOL
+
+
+def first_max(rho):
+    """(pattern, cut) indices of the first maximum, patterns outer, with
+    ratios within KERNEL_RTOL of the maximum counted as ties."""
+    by_pattern = rho.T
+    top = by_pattern.max()
+    flat = int(np.argmax(by_pattern >= top - KERNEL_RTOL * max(1.0, top)))
+    return divmod(flat, by_pattern.shape[1])
+
+
+def check_kernel_against_per_pair(inst):
+    space = oc.build_state_space(inst)
+    tables = oc.cut_block_tables(inst, space)
+    v, rho = per_pair_tables(inst, space)
+    assert tables.values.shape == tables.rho.shape == v.shape
+    assert_tables_close(tables.values, v)
+    assert_tables_close(tables.rho, rho)
+    pk, ck = first_max(rho)
+    pattern, cut, worst = oc.check_assumptions(inst, space).worst
+    assert (pattern, cut) == (space.patterns[pk], space.cuts[ck])
+    assert math.isclose(worst, rho.max(), rel_tol=KERNEL_RTOL)
+
+
+@pytest.mark.parametrize("topology,relays", [
+    ("line", 0), ("line", 1), ("line", 4), ("diamond", 2), ("full", 1),
+    ("full", 2), ("full", 3), ("random", 3), ("random", 4),
+])
+def test_kernel_matches_per_pair_route(topology, relays):
+    for k, (channel, beta) in enumerate(
+        (c, b) for c in ("unit", "rayleigh") for b in (0.0, 0.1, 0.3, 1.0)
+    ):
+        inst = oc.generate(oc.GenSpec(topology=topology, relays=relays, channel=channel,
+                                      beta=beta, seed=40 + k, edge_probability=0.6))
+        check_kernel_against_per_pair(inst)
+
+
+@pytest.mark.parametrize("channel,beta", [("unit", 0.1), ("rayleigh", 0.3)])
+def test_kernel_matches_per_pair_route_full_n4(channel, beta):
+    # unit channels make many distinct blocks tie on rho, which the
+    # witness must resolve to the first pair in pattern-major order
+    check_kernel_against_per_pair(oc.generate(oc.GenSpec(
+        topology="full", relays=4, channel=channel, beta=beta, seed=3)))
+
+
+def test_kernel_dedups_to_distinct_cut_restrictions():
+    inst = oc.generate(oc.GenSpec(topology="full", relays=4, channel="rayleigh",
+                                  beta=0.3, seed=0))
+    space = oc.build_state_space(inst)
+    keys = {
+        (cut, tuple(p for p in pattern if p[0] in cut.omega and p[1] in cut.complement))
+        for cut in space.cuts for pattern in space.patterns
+    }
+    assert len(space.patterns) * len(space.cuts) == 888 * 16
+    assert oc.cut_block_tables(inst, space).distinct_blocks == len(keys) == 384
+
+
+def test_kernel_rejects_pattern_on_zero_link():
+    inst = line_instance(2)
+    space = oc.StateSpace(patterns=(oc.AlignmentPattern(((0, 2),)),),
+                          cuts=tuple(oc.enumerate_cuts(inst)))
+    with pytest.raises(oc.InvalidPatternError):
+        oc.cut_block_tables(inst, space)
+
+
+def test_group_rows_packed_and_wide_keys_agree():
+    rng = np.random.Generator(np.random.Philox(5))
+    for width in (0, 3, 62, 63, 70):
+        base = rng.random((12, width)) < 0.4
+        bits = base[rng.integers(0, len(base), size=60)]
+        keys, inverse = _group_rows(bits)
+        assert np.array_equal(keys[inverse], bits)
+        assert len({row.tobytes() for row in keys}) == len(keys)
+        assert len(keys) == len({row.tobytes() for row in bits})
+
+
+def test_kernel_matches_60_digit_oracle_at_high_power():
+    # Unit channels give rank-deficient blocks, where a Cholesky factor of
+    # I + P M M^H loses digits as P grows; the singular-value form must not.
+    for power in (1e2, 1e6, 1e10, 1e14):
+        inst = oc.generate(oc.GenSpec(topology="full", relays=3, channel="unit",
+                                      beta=0.3, power=power))
+        space = oc.build_state_space(inst)
+        values = oc.cut_block_tables(inst, space).values
+        first = {}
+        for ck, cut in enumerate(space.cuts):
+            for pk, pattern in enumerate(space.patterns):
+                aligned = frozenset(
+                    (i, j) for i, j in pattern if i in cut.omega and j in cut.complement
+                )
+                first.setdefault((ck, aligned), pk)
+        for (ck, aligned), pk in first.items():
+            cut = space.cuts[ck]
+            want = mp_cut_log_det(inst, aligned, cut)
+            single = oc.log_det_capacity(
+                oc.cut_state_matrix(inst, space.patterns[pk], cut), power)
+            for got in (values[ck, pk], single):
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (power, cut, aligned)
