@@ -131,16 +131,16 @@ def _dominance_sweep(
 ):
     """Max dominance ratio over all (pattern, cut) Gram matrices.
 
-    The witness is the first maximum with patterns outer and cuts inner.
-    Ratios within RHO_TIE_RTOL of the maximum tie with it, so that the
-    rounding of equal blocks built in a different node order cannot
-    move the witness.
+    The witness is the first maximum with patterns outer and cuts inner,
+    with its own ratio.  Ratios within RHO_TIE_RTOL of the maximum tie
+    with it, so that the rounding of equal blocks built in a different
+    node order cannot move the witness.
     """
     rho = (blocks or cut_block_tables(inst, space)).rho.T
     max_rho = float(rho.max())
     tied = rho >= max_rho - RHO_TIE_RTOL * max(1.0, max_rho)
     pk, ck = divmod(int(np.argmax(tied)), rho.shape[1])
-    return max_rho, (space.patterns[pk], space.cuts[ck], max_rho)
+    return max_rho, (space.patterns[pk], space.cuts[ck], float(rho[pk, ck]))
 
 
 def check_assumptions(

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .enumeration import StateSpace
+from .enumeration import EnumerationCapError, StateSpace
 from .model import (
     AlignmentPattern,
     Cut,
@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+MAX_CROSSING_LINKS = 62
 
 
 def _grams(blocks: np.ndarray, power: float) -> np.ndarray:
@@ -116,22 +117,27 @@ def _incidence(space: StateSpace, links: list[tuple[int, int]]) -> np.ndarray:
 def _group_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a boolean matrix, and the group of every row.
 
-    Rows of up to 62 bits are packed into one integer key each, which
-    sorts far faster than ``np.unique(bits, axis=0)`` does.
+    Each row is packed into one int64 key, which sorts several times
+    faster than ``np.unique(bits, axis=0)``; rows wider than
+    MAX_CROSSING_LINKS bits do not fit and are rejected.
     """
-    if bits.shape[1] <= 62:
-        codes = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        return bits[first], inverse.reshape(-1)
-    keys, inverse = np.unique(bits, axis=0, return_inverse=True)
-    return keys, inverse.reshape(-1)
+    if bits.shape[1] > MAX_CROSSING_LINKS:
+        raise EnumerationCapError(
+            f"a cut is crossed by {bits.shape[1]} nonzero links; "
+            f"the cut-block kernel handles at most {MAX_CROSSING_LINKS}"
+        )
+    codes = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    return bits[first], inverse.reshape(-1)
 
 
 def cut_block_tables(inst: NetworkInstance, space: StateSpace) -> CutBlockTables:
     """Values and dominance ratios of all (cut, pattern) blocks at once.
 
     Each distinct (cut, crossing aligned pairs) block is built once; see
-    the module docstring for why that and the padding are exact.
+    the module docstring for why that and the padding are exact.  Raises
+    EnumerationCapError when a cut is crossed by more than
+    MAX_CROSSING_LINKS nonzero links.
     """
     links = inst.links()
     tx = np.array([i for i, _ in links], dtype=np.intp)

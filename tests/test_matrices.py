@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import otocap as oc
-from otocap.matrices import _group_rows
+from otocap.matrices import MAX_CROSSING_LINKS, _group_rows
 from conftest import (
     diamond_instance,
     line_instance,
@@ -266,6 +266,7 @@ def check_kernel_against_per_pair(inst):
     pattern, cut, worst = oc.check_assumptions(inst, space).worst
     assert (pattern, cut) == (space.patterns[pk], space.cuts[ck])
     assert math.isclose(worst, rho.max(), rel_tol=KERNEL_RTOL)
+    assert worst == tables.rho[ck, pk]
 
 
 @pytest.mark.parametrize("topology,relays", [
@@ -309,15 +310,27 @@ def test_kernel_rejects_pattern_on_zero_link():
         oc.cut_block_tables(inst, space)
 
 
-def test_group_rows_packed_and_wide_keys_agree():
+def test_group_rows_groups_exactly_up_to_the_key_width():
     rng = np.random.Generator(np.random.Philox(5))
-    for width in (0, 3, 62, 63, 70):
+    for width in (0, 3, MAX_CROSSING_LINKS):
         base = rng.random((12, width)) < 0.4
         bits = base[rng.integers(0, len(base), size=60)]
         keys, inverse = _group_rows(bits)
         assert np.array_equal(keys[inverse], bits)
         assert len({row.tobytes() for row in keys}) == len(keys)
         assert len(keys) == len({row.tobytes() for row in bits})
+    with pytest.raises(oc.EnumerationCapError, match="crossed by 63"):
+        _group_rows(np.zeros((4, MAX_CROSSING_LINKS + 1), dtype=bool))
+
+
+def test_kernel_rejects_a_cut_crossed_by_too_many_links():
+    # N=14, forward links only: Omega = {0..7} is crossed by 8 x 8 = 64.
+    links = {(i, j): 1.0 for i in range(16) for j in range(i + 1, 16)}
+    inst = oc.NetworkInstance.from_links(14, links, 1.0, 1.0, 0.1)
+    space = oc.StateSpace(patterns=(oc.AlignmentPattern(()),),
+                          cuts=(oc.Cut(tuple(range(8)), 14),))
+    with pytest.raises(oc.EnumerationCapError, match="crossed by 64"):
+        oc.cut_block_tables(inst, space)
 
 
 def test_kernel_matches_60_digit_oracle_at_high_power():
