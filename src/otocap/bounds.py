@@ -177,6 +177,31 @@ def check_assumptions(
     )
 
 
+def _ideal_gap_terms(n: int, max_rho: float) -> tuple[float, float]:
+    """(penalty |log2(1 - max_rho)|, bound N * max(log2 N, penalty)).
+
+    Past strict dominance the penalty is inf at max_rho = 1 and NaN
+    above, and so is the bound.  For N = 0 the two models coincide
+    exactly (a lone cross-cut link is either aligned or not, and the
+    best schedule aligns it), so the bound is 0.
+    """
+    if max_rho < 1.0:
+        penalty = abs(math.log2(1.0 - max_rho))
+    elif max_rho == 1.0:
+        penalty = math.inf
+    else:
+        return math.nan, (0.0 if n == 0 else math.nan)
+    return penalty, (n * max(math.log2(n), penalty) if n else 0.0)
+
+
+def _strict_max_rho(inst: NetworkInstance, space: StateSpace | None) -> float:
+    """Maximum dominance ratio; raises DominanceViolatedError at rho >= 1."""
+    max_rho, worst = _dominance_sweep(inst, space or build_state_space(inst))
+    if max_rho >= 1.0:
+        raise DominanceViolatedError(worst)
+    return max_rho
+
+
 def dominance_penalty(inst: NetworkInstance, space: StateSpace | None = None) -> float:
     """Worst-case |log2(1 - rho)| over all (pattern, cut) pairs.
 
@@ -184,25 +209,15 @@ def dominance_penalty(inst: NetworkInstance, space: StateSpace | None = None) ->
     DominanceViolatedError when some Gram matrix is not strictly
     dominant (rho >= 1), carrying the offending (pattern, cut, rho).
     """
-    space = space or build_state_space(inst)
-    max_rho, worst = _dominance_sweep(inst, space)
-    if max_rho >= 1.0:
-        raise DominanceViolatedError(worst)
-    return abs(math.log2(1.0 - max_rho))
+    return _ideal_gap_terms(inst.num_relays, _strict_max_rho(inst, space))[0]
 
 
 def ideal_gap_bound(inst: NetworkInstance, space: StateSpace | None = None) -> float:
     """Bound N * max(log2 N, penalty) on |imperfect - ideal| capacity.
 
-    For N = 0 the two models coincide exactly (a lone cross-cut link is
-    either aligned or not, and the best schedule aligns it), so the
-    bound is 0 without any sweep.
+    Raises DominanceViolatedError like ``dominance_penalty``.
     """
-    n = inst.num_relays
-    if n == 0:
-        return 0.0
-    penalty = dominance_penalty(inst, space)
-    return n * max(math.log2(n), penalty)
+    return _ideal_gap_terms(inst.num_relays, _strict_max_rho(inst, space))[1]
 
 
 def _gain_ratio(inst: NetworkInstance, mode: str) -> float:
@@ -244,13 +259,6 @@ def constant_gap_condition(
     if n <= 1 or not inst.links():
         return RatioCondition(
             ratio=ratio, threshold=math.nan, satisfied=False, applicable=False
-        )
-    if inst.beta == 0:
-        threshold = (
-            max_degree(inst) ** 2 * (n / (n - 1)) * _gain_ratio(inst, ratio_mode)
-        )
-        return RatioCondition(
-            ratio=ratio, threshold=float(threshold), satisfied=True, applicable=True
         )
     threshold = max_degree(inst) ** 2 * (n / (n - 1)) * _gain_ratio(inst, ratio_mode)
     return RatioCondition(
@@ -307,19 +315,7 @@ def verify_instance(
     tsn = rate_tsn(inst, space)
     assumptions = check_assumptions(inst, space, imperfect.blocks)
 
-    if n == 0:
-        bound = 0.0
-        penalty = 0.0 if assumptions.diagonally_dominant else math.nan
-    elif assumptions.max_rho < 1.0:
-        penalty = abs(math.log2(1.0 - assumptions.max_rho))
-        bound = n * max(math.log2(n), penalty)
-    elif assumptions.max_rho == 1.0:
-        penalty = math.inf
-        bound = math.inf
-    else:
-        penalty = math.nan
-        bound = math.nan
-
+    penalty, bound = _ideal_gap_terms(n, assumptions.max_rho)
     condition = constant_gap_condition(inst)
     tsn_bound = 0.0 if delta == 0 else tsn_gap_bound(inst)
 

@@ -11,6 +11,9 @@ Three max-min objectives share one LP core and differ only in how a
   discounted by the worst-case side-lobe leakage treated as noise
   (treat-side-lobes-as-noise).
 
+The two linear models' tables are one product over the state space's
+cut x link crossing and pattern x link incidence matrices.
+
 All rates are bits per channel use, logs base 2.
 """
 
@@ -23,7 +26,7 @@ import numpy as np
 from .enumeration import StateSpace, build_state_space
 from .matrices import CutBlockTables, cut_block_tables
 from .model import Cut, NetworkInstance
-from .optimize import MaxMinProblem, Schedule, decompose_edge_fractions, solve_edge_lp, solve_maxmin
+from .optimize import MaxMinProblem, Schedule, solve_maxmin
 
 __all__ = [
     "LinkRates",
@@ -124,22 +127,12 @@ def linear_value_table(
     space: StateSpace,
     rates: dict[tuple[int, int], float],
 ) -> MaxMinProblem:
-    """V[cut, pattern] = sum of per-link rates over aligned cross-cut links."""
-    edges = sorted(rates)
-    edge_pos = {e: k for k, e in enumerate(edges)}
-    rate_vec = np.array([rates[e] for e in edges])
-    # crossing[k, c] = True iff edge k crosses cut c
-    crossing = np.zeros((len(edges), len(space.cuts)), dtype=bool)
-    for ck, cut in enumerate(space.cuts):
-        omega = set(cut.omega)
-        for e, k in edge_pos.items():
-            crossing[k, ck] = e[0] in omega and e[1] not in omega
-    v = np.zeros((len(space.cuts), len(space.patterns)))
-    for pk, pattern in enumerate(space.patterns):
-        idx = [edge_pos[e] for e in pattern]
-        if idx:
-            v[:, pk] = crossing[idx, :].T @ rate_vec[idx]
-    return MaxMinProblem(values=v)
+    """V[cut, pattern] = sum of per-link rates over aligned cross-cut links.
+
+    ``rates`` must hold a rate for every link in ``space.links``.
+    """
+    rate_vec = np.array([rates[e] for e in space.links])
+    return MaxMinProblem(values=(space.crossing * rate_vec) @ space.incidence.T)
 
 
 @dataclass(frozen=True)
@@ -192,27 +185,15 @@ def capacity_imperfect(
     return _result_from_schedule(space, table, schedule, "imperfect", blocks)
 
 
-def capacity_ideal(
-    inst: NetworkInstance,
-    method: str = "pattern_lp",
-    space: StateSpace | None = None,
-) -> CapacityResult:
+def capacity_ideal(inst: NetworkInstance, space: StateSpace | None = None) -> CapacityResult:
     """Approximate capacity of the ideal (zero side-lobe) model.
 
-    ``pattern_lp`` optimises over pattern distributions directly;
-    ``edge_lp`` optimises per-link fractions and decomposes them into a
-    pattern schedule.  Both agree to LP tolerance.
+    ``solve_edge_lp`` reaches the same value over per-link fractions.
     """
     space = space or build_state_space(inst)
     rates = link_rates(inst).ideal
     table = linear_value_table(inst, space, rates)
-    if method == "pattern_lp":
-        schedule = solve_maxmin(table)
-    elif method == "edge_lp":
-        _, fractions = solve_edge_lp(inst, rates)
-        schedule = decompose_edge_fractions(fractions, space)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    schedule = solve_maxmin(table)
     return _result_from_schedule(space, table, schedule, "ideal")
 
 

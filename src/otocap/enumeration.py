@@ -7,6 +7,11 @@ this package.  Raw-state enumeration is a deliberately dumb oracle over
 the full Cartesian product of per-node beam choices, kept around to
 cross-check the pattern route on tiny networks.
 
+``StateSpace`` also carries the instance's nonzero links and their two
+incidence matrices: which links a pattern aligns and which links cross
+a cut.  Every value table, LP row and cut block reads its crossing
+links from ``crossing_matrix``.
+
 Everything here is exponential in N, so enumeration is gated by caps.
 The environment variable ``OTO_CAP_MAX_RELAYS`` overrides both caps at
 once for users who accept the blow-up.
@@ -18,11 +23,15 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from typing import Sequence
+
+import numpy as np
 
 from .model import (
     EMPTY_PATTERN,
     AlignmentPattern,
     Cut,
+    InvalidPatternError,
     NetworkInstance,
     NodeState,
 )
@@ -31,6 +40,7 @@ __all__ = [
     "EnumerationCaps",
     "EnumerationCapError",
     "StateSpace",
+    "crossing_matrix",
     "default_caps",
     "enumerate_cuts",
     "enumerate_alignment_patterns",
@@ -179,12 +189,29 @@ def pattern_of_state(state: NodeState, inst: NetworkInstance) -> AlignmentPatter
     return AlignmentPattern(tuple(pairs))
 
 
+def crossing_matrix(
+    cuts: Sequence[Cut], links: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """Boolean cut x link matrix: link (i, j) leaves Omega (i in it, j not)."""
+    n_nodes = max((cut.num_relays for cut in cuts), default=0) + 2
+    source_side = np.zeros((len(cuts), n_nodes), dtype=bool)
+    for c, cut in enumerate(cuts):
+        source_side[c, list(cut.omega)] = True
+    tx, rx = np.array(links, dtype=np.intp).reshape(-1, 2).T
+    return source_side[:, tx] & ~source_side[:, rx]
+
+
 @dataclass(frozen=True)
 class StateSpace:
-    """Canonical pattern and cut universe for one instance."""
+    """Canonical pattern, cut and link universe for one instance.
+
+    ``links`` are the instance's nonzero links in ``inst.links()`` order;
+    the columns of ``incidence`` and ``crossing`` follow it.
+    """
 
     patterns: tuple[AlignmentPattern, ...]
     cuts: tuple[Cut, ...]
+    links: tuple[tuple[int, int], ...]
 
     @cached_property
     def pattern_index(self) -> dict[AlignmentPattern, int]:
@@ -198,6 +225,31 @@ class StateSpace:
     def empty_pattern_index(self) -> int:
         return self.patterns.index(EMPTY_PATTERN)
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only boolean pattern x link matrix: pattern p aligns link l.
+
+        Raises InvalidPatternError when a pattern pairs two nodes that
+        share no nonzero link.
+        """
+        link_pos = {e: k for k, e in enumerate(self.links)}
+        pairs = [pair for pattern in self.patterns for pair in pattern]
+        cols = [link_pos.get(pair, -1) for pair in pairs]
+        if -1 in cols:
+            raise InvalidPatternError(f"pair {pairs[cols.index(-1)]} is not a nonzero link")
+        rows = np.repeat(np.arange(len(self.patterns)), [len(p) for p in self.patterns])
+        incidence = np.zeros((len(self.patterns), len(self.links)), dtype=bool)
+        incidence[rows, np.array(cols, dtype=np.intp)] = True
+        incidence.flags.writeable = False
+        return incidence
+
+    @cached_property
+    def crossing(self) -> np.ndarray:
+        """Read-only boolean cut x link matrix; see ``crossing_matrix``."""
+        crossing = crossing_matrix(self.cuts, self.links)
+        crossing.flags.writeable = False
+        return crossing
+
 
 def build_state_space(
     inst: NetworkInstance, caps: EnumerationCaps | None = None
@@ -206,4 +258,5 @@ def build_state_space(
     return StateSpace(
         patterns=tuple(enumerate_alignment_patterns(inst, caps)),
         cuts=tuple(enumerate_cuts(inst, caps)),
+        links=tuple(inst.links()),
     )

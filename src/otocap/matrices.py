@@ -10,22 +10,20 @@ dimensions, to be diagonally dominant.
 
 A block depends on its pattern only through the aligned pairs that cross
 the cut.  ``cut_block_tables`` therefore groups, cut by cut, the patterns
-by that restriction (the rows of a pattern x link incidence matrix
-masked by the cut's crossing links) and builds each distinct
-block once, in its wide orientation (rows <= columns).  Permuting rows
-or columns changes neither the determinant nor the row-dominance ratio,
-so the blocks keep ascending node order.  All distinct blocks are
-zero-padded to one shape -- a zero row adds a zero singular value and an
-identity row to the Gram matrix, a zero column nothing -- and evaluated
-in one batch:
+by that restriction (the rows of the state space's pattern x link
+incidence, restricted to the links that cross the cut) and builds each
+distinct block once, in its wide orientation (rows <= columns) and
+ascending node order.  All distinct blocks are zero-padded to one
+shape -- a zero row adds a zero singular value and an identity row to
+the Gram matrix, a zero column nothing -- and evaluated in one batch:
 
 * the capacity as the sum of log2(1 + P sigma^2) over the singular
   values of M, which stays accurate for rank-deficient blocks at high
   power, where a factorization of the Gram matrix loses digits;
 * the dominance ratio from the batched Gram matrices.
 
-``cut_state_matrix`` is the per-pair route: one block, arranged with the
-aligned links on its leading diagonal.  ``log_det_capacity`` and
+``cut_state_matrix`` is the per-pair route: one block sliced from the
+full effective channel.  ``log_det_capacity`` and
 ``cut_dominance_ratio`` evaluate such a block with the same helpers as
 the batch.  The Ostrowski and Hadamard-Fischer determinant bounds
 sandwich the determinant whenever the Gram matrix is diagonally
@@ -41,13 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .enumeration import EnumerationCapError, StateSpace
-from .model import (
-    AlignmentPattern,
-    Cut,
-    InvalidPatternError,
-    NetworkInstance,
-    effective_channel,
-)
+from .model import AlignmentPattern, Cut, NetworkInstance, effective_channel
 
 __all__ = [
     "CutBlockTables",
@@ -101,19 +93,6 @@ class CutBlockTables:
     distinct_blocks: int
 
 
-def _incidence(space: StateSpace, links: list[tuple[int, int]]) -> np.ndarray:
-    """Boolean pattern x link matrix; every pair must be a nonzero link."""
-    link_pos = {e: k for k, e in enumerate(links)}
-    incidence = np.zeros((len(space.patterns), len(links)), dtype=bool)
-    for p, pattern in enumerate(space.patterns):
-        for pair in pattern:
-            k = link_pos.get(pair)
-            if k is None:
-                raise InvalidPatternError(f"pair {pair} is not a nonzero link")
-            incidence[p, k] = True
-    return incidence
-
-
 def _group_rows(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a boolean matrix, and the group of every row.
 
@@ -139,20 +118,15 @@ def cut_block_tables(inst: NetworkInstance, space: StateSpace) -> CutBlockTables
     EnumerationCapError when a cut is crossed by more than
     MAX_CROSSING_LINKS nonzero links.
     """
-    links = inst.links()
-    tx = np.array([i for i, _ in links], dtype=np.intp)
-    rx = np.array([j for _, j in links], dtype=np.intp)
-    incidence = _incidence(space, links)
+    tx, rx = np.array(space.links, dtype=np.intp).reshape(-1, 2).T
     index = np.empty((len(space.cuts), len(space.patterns)), dtype=np.intp)
     chunks = []
     built = 0
     for c, cut in enumerate(space.cuts):
         rows = np.array(cut.complement, dtype=np.intp)
         cols = np.array(cut.omega, dtype=np.intp)
-        source_side = np.zeros(inst.n_nodes, dtype=bool)
-        source_side[cols] = True
-        crossing = np.flatnonzero(source_side[tx] & ~source_side[rx])
-        keys, inverse = _group_rows(incidence[:, crossing])
+        crossing = np.flatnonzero(space.crossing[c])
+        keys, inverse = _group_rows(space.incidence[:, crossing])
         index[c] = built + inverse
         built += len(keys)
 
@@ -182,21 +156,9 @@ def cut_block_tables(inst: NetworkInstance, space: StateSpace) -> CutBlockTables
 
 @dataclass(frozen=True)
 class CutStateMatrix:
-    """Arranged channel block for one (pattern, cut) pair.
-
-    ``row_labels`` / ``col_labels`` name the nodes behind each row and
-    column of ``m`` after arrangement; when ``transposed`` is set the
-    rows are transmitters and the columns receivers.  The first
-    ``aligned_count`` diagonal entries carry the aligned (alpha-scaled)
-    coefficients.
-    """
+    """Effective channel block ``m`` of one (pattern, cut) pair, wide."""
 
     m: np.ndarray
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
-    aligned_count: int
-    oriented_wide: bool
-    transposed: bool
 
 
 def cut_submatrix(inst: NetworkInstance, cut: Cut) -> np.ndarray:
@@ -209,29 +171,13 @@ def cut_submatrix(inst: NetworkInstance, cut: Cut) -> np.ndarray:
 def cut_state_matrix(
     inst: NetworkInstance, pattern: AlignmentPattern, cut: Cut
 ) -> CutStateMatrix:
-    """Effective channel block with aligned links on the leading diagonal."""
-    h_eff = effective_channel(inst, pattern)
-    omega = set(cut.omega)
-    comp = set(cut.complement)
+    """Effective channel at rows Omega^c x columns Omega, both ascending.
 
-    aligned = sorted((i, j) for i, j in pattern if i in omega and j in comp)
-    rows = [j for _, j in aligned] + sorted(comp - {j for _, j in aligned})
-    cols = [i for i, _ in aligned] + sorted(omega - {i for i, _ in aligned})
-
-    m = h_eff[np.ix_(rows, cols)]
-    transposed = False
-    if m.shape[0] > m.shape[1]:
-        m = m.conj().T
-        rows, cols = cols, rows
-        transposed = True
-    return CutStateMatrix(
-        m=m,
-        row_labels=tuple(rows),
-        col_labels=tuple(cols),
-        aligned_count=len(aligned),
-        oriented_wide=m.shape[0] <= m.shape[1],
-        transposed=transposed,
-    )
+    A tall block is conjugate-transposed, which changes neither its
+    log-det nor its Gram matrix's dominance ratio.
+    """
+    m = effective_channel(inst, pattern)[np.ix_(cut.complement, cut.omega)]
+    return CutStateMatrix(m=m if m.shape[0] <= m.shape[1] else m.conj().T)
 
 
 def gram_matrix(csm: CutStateMatrix, power: float) -> np.ndarray:

@@ -5,7 +5,9 @@ Two equivalent routes to an optimal schedule:
 * the pattern LP optimises a distribution over alignment patterns
   directly (one variable per pattern, one constraint per cut), and
 * the edge LP optimises per-link activation fractions under unit
-  transmit/receive budgets, later peeled into a pattern schedule.
+  transmit/receive budgets, later peeled into a pattern schedule.  Its
+  cut rows come from the same cut x link ``crossing_matrix`` as the
+  pattern LP's value tables.
 
 Both are epigraph LPs ``max t  s.t.  (cut value) >= t`` handed to
 HiGHS via scipy.  The solver is deterministic for a fixed input, the
@@ -22,7 +24,7 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .enumeration import StateSpace, enumerate_cuts
+from .enumeration import StateSpace, crossing_matrix, enumerate_cuts
 from .model import AlignmentPattern, NetworkInstance
 
 __all__ = [
@@ -171,40 +173,20 @@ def solve_edge_lp(
         _validate_edge(inst, e)
         if rates[e] < 0 or not np.isfinite(rates[e]):
             raise ValueError(f"rate for edge {e} must be finite and nonnegative")
-    cuts = enumerate_cuts(inst)
-    n_e = len(edges)
-    edge_pos = {e: k for k, e in enumerate(edges)}
+    rate_vec = np.array([rates[e] for e in edges])
+    crossing = crossing_matrix(enumerate_cuts(inst), edges)
+    tx, rx = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    # one row per transmitting node, then one per receiving node, ascending
+    budgets = np.vstack([np.unique(tx)[:, None] == tx, np.unique(rx)[:, None] == rx])
 
-    rows = []
-    for cut in cuts:
-        omega = set(cut.omega)
-        row = np.zeros(n_e + 1)
-        row[0] = 1.0
-        for (i, j), k in edge_pos.items():
-            if i in omega and j not in omega:
-                row[k + 1] = -rates[(i, j)]
-        rows.append(row)
-    n_cut_rows = len(rows)
-
-    for node in sorted({i for i, _ in edges}):
-        row = np.zeros(n_e + 1)
-        for (i, j), k in edge_pos.items():
-            if i == node:
-                row[k + 1] = 1.0
-        rows.append(row)
-    for node in sorted({j for _, j in edges}):
-        row = np.zeros(n_e + 1)
-        for (i, j), k in edge_pos.items():
-            if j == node:
-                row[k + 1] = 1.0
-        rows.append(row)
-
-    a_ub = np.array(rows)
-    b_ub = np.zeros(len(rows))
-    b_ub[n_cut_rows:] = 1.0
-    c = np.zeros(n_e + 1)
+    a_ub = np.block([
+        [np.ones((len(crossing), 1)), np.where(crossing, -rate_vec, 0.0)],
+        [np.zeros((len(budgets), 1)), budgets],
+    ])
+    b_ub = np.concatenate([np.zeros(len(crossing)), np.ones(len(budgets))])
+    c = np.zeros(len(edges) + 1)
     c[0] = -1.0
-    bounds = [(None, None)] + [(0, None)] * n_e
+    bounds = [(None, None)] + [(0, None)] * len(edges)
 
     res = linprog(
         c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_HIGHS_OPTIONS
@@ -215,31 +197,14 @@ def solve_edge_lp(
     x = np.maximum(res.x[1:], 0.0)
     x[x < WEIGHT_FLOOR] = 0.0
     # keep budgets exactly feasible in the face of solver slack
-    max_load = 0.0
-    for node in {i for i, _ in edges} | {j for _, j in edges}:
-        tx = sum(x[edge_pos[e]] for e in edges if e[0] == node)
-        rx = sum(x[edge_pos[e]] for e in edges if e[1] == node)
-        max_load = max(max_load, tx, rx)
+    max_load = float(np.max(budgets @ x, initial=0.0))
     if max_load > 1.0:
         x /= max_load
 
-    value = _min_cut_value(cuts, edges, rates, x)
+    value = float(np.min(crossing @ (rate_vec * x)))
     _check_duality(res, b_ub, np.zeros(0), value)
-    fractions = {e: float(x[k]) for e, k in edge_pos.items() if x[k] > 0.0}
+    fractions = {e: float(x[k]) for k, e in enumerate(edges) if x[k] > 0.0}
     return value, EdgeFractions(fractions=fractions)
-
-
-def _min_cut_value(cuts, edges, rates, x) -> float:
-    best = np.inf
-    for cut in cuts:
-        omega = set(cut.omega)
-        total = sum(
-            rates[e] * x[k]
-            for k, e in enumerate(edges)
-            if e[0] in omega and e[1] not in omega
-        )
-        best = min(best, total)
-    return float(best)
 
 
 def decompose_edge_fractions(x: EdgeFractions, space: StateSpace) -> Schedule:
@@ -258,7 +223,7 @@ def decompose_edge_fractions(x: EdgeFractions, space: StateSpace) -> Schedule:
         i, j = e
         if i == j or not (i >= 0 and j >= 1):
             raise ValueError(f"invalid edge {e} in fractions")
-        if AlignmentPattern((e,)) not in space.pattern_index:
+        if e not in space.links:
             raise ValueError(f"edge {e} is not a nonzero link of the state space")
         if v > 1.0 + 1e-9:
             raise ValueError(f"fraction for edge {e} exceeds 1: {v}")

@@ -150,12 +150,46 @@ def raw_state_capacities(inst):
     )
 
 
+def state_space_instances():
+    """Line, diamond, full and random instances with N = 0..4."""
+    specs = [oc.GenSpec(topology="diamond", relays=2, channel="rayleigh", beta=0.3)]
+    for n in range(5):
+        for k, topology in enumerate(("line", "full", "random")):
+            specs.append(oc.GenSpec(topology=topology, relays=n, channel="rayleigh",
+                                    beta=0.3, seed=10 * n + k, edge_probability=0.6))
+    return [oc.generate(spec) for spec in specs]
+
+
+def linear_table_oracle(space, rates):
+    """V[cut, pattern] summed pair by pair: the rates of a pattern's
+    aligned links that leave the cut's source side, by set membership."""
+    v = np.zeros((len(space.cuts), len(space.patterns)))
+    for ck, cut in enumerate(space.cuts):
+        omega = set(cut.omega)
+        for pk, pattern in enumerate(space.patterns):
+            v[ck, pk] = sum(rates[(i, j)] for i, j in pattern.pairs
+                            if i in omega and j not in omega)
+    return v
+
+
+def edge_route(inst, space):
+    """The ideal model through the edge LP: (LP value, per-cut values of
+    the schedule decomposed from its fractions, that schedule)."""
+    rates = oc.link_rates(inst).ideal
+    value, fractions = oc.solve_edge_lp(inst, rates)
+    schedule = oc.decompose_edge_fractions(fractions, space)
+    lam = np.zeros(len(space.patterns))
+    for k, w in schedule.weights.items():
+        lam[k] = w
+    return value, linear_table_oracle(space, rates) @ lam, schedule
+
+
 def per_pair_tables(inst, space):
-    """(V, rho)[cut, pattern] built one arranged block at a time.
+    """(V, rho)[cut, pattern] built one block at a time.
 
     This is the per-pair route through ``cut_state_matrix`` that the
-    batched kernel replaces: every (pattern, cut) block is built from the
-    full effective channel and arranged, with no deduplication.
+    batched kernel replaces: every (pattern, cut) block is sliced from the
+    full effective channel, with no deduplication.
     """
     v = np.zeros((len(space.cuts), len(space.patterns)))
     rho = np.zeros_like(v)

@@ -17,7 +17,7 @@ import numpy as np
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
 import otocap as oc
-from conftest import raw_state_capacities
+from conftest import edge_route, raw_state_capacities
 
 GAP_TOL = 1e-6
 EXACT_TOL = 1e-9
@@ -212,13 +212,12 @@ def test_criterion_7_pattern_and_edge_lp_agree():
                                       channel="rayleigh", beta=0.0,
                                       seed=7000 + k, edge_probability=0.7))
         space = oc.build_state_space(inst)
-        pattern = oc.capacity_ideal(inst, method="pattern_lp", space=space)
-        edge = oc.capacity_ideal(inst, method="edge_lp", space=space)
-        worst_lp = max(worst_lp, abs(pattern.value - edge.value))
-        # the edge route reports the schedule rebuilt by decomposition;
-        # its per-cut minimum must reproduce the LP value
-        worst_rt = max(worst_rt,
-                       abs(edge.value - min(edge.per_cut_values.values())))
+        pattern = oc.capacity_ideal(inst, space)
+        edge_value, per_cut, _ = edge_route(inst, space)
+        worst_lp = max(worst_lp, abs(pattern.value - edge_value))
+        # the schedule rebuilt from the edge fractions by decomposition
+        # must reproduce the edge LP's value as its per-cut minimum
+        worst_rt = max(worst_rt, abs(edge_value - per_cut.min()))
     elapsed = time.perf_counter() - start
     ok = worst_lp <= GAP_TOL and worst_rt <= GAP_TOL
     assert _report(

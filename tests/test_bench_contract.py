@@ -60,12 +60,15 @@ def test_traced_run_reports_every_layer(tmp_path):
     inst = oc.generate(oc.GenSpec(topology="full", relays=2, channel="rayleigh", beta=0.3))
     path = tmp_path / "inst.json"
     save_instance(inst, str(path))
+    commands = [["--model", "ideal"], ["--model", "all", "--format", "csv"]]
     rec = lt.Recorder()
     with lt.traced(rec, oc):
         rec.item = 0
         oc.verify_instance(inst)
-        assert main(["capacity", str(path), "--model", "ideal",
-                     "-o", str(tmp_path / "out.json")]) == 0
+        for item, flags in enumerate(commands, start=1):
+            rec.item = item
+            assert main(["capacity", str(path), *flags,
+                         "-o", str(tmp_path / f"out{item}")]) == 0
     assert rec.absent == {}
     assert rec.sizer_errors == {}
     metrics = rec.summarize([0])
@@ -73,12 +76,17 @@ def test_traced_run_reports_every_layer(tmp_path):
         for fn in fns:
             assert f"{layer}.{fn}.self_ms" in metrics
     # the per-pair block functions stay wrapped but the product path no
-    # longer calls them; verify_instance builds the cut blocks once
+    # longer calls them; verify_instance builds the cut blocks once and
+    # one linear table per linear model
     for layer, fns in lt.COUNTED.items():
         for fn in fns:
             assert metrics[f"{layer}.{fn}.calls"] == 0
     assert metrics["capacity.imperfect_value_table.calls"] == 1
+    assert metrics["capacity.linear_value_table.calls"] == 2
     assert metrics["enumeration.patterns"] == len(oc.build_state_space(inst).patterns)
+    # one enumeration per capacity command
+    for item in range(1, len(commands) + 1):
+        assert rec.summarize([item])["cli.build_state_space.calls"] == 1
 
 
 IMPORT_PROBE = """

@@ -218,7 +218,21 @@ def test_verify_handles_dominance_violation_gracefully():
     report = oc.verify_instance(inst)
     assert not report.assumptions.diagonally_dominant
     assert math.isnan(report.ideal_gap_bound)
+    assert math.isnan(report.dominance_penalty)
     assert report.tsn_gap <= report.tsn_gap_bound + 1e-6
+
+
+def test_verify_rho_exactly_one_gives_infinite_penalty_and_bound():
+    # cut {0, 1} gives M = [1; 2] and Gram [[2, 2], [2, 5]]: row ratio 2/2
+    inst = fan_instance(gains=(1.0, 2.0))
+    report = oc.verify_instance(inst)
+    assert report.assumptions.max_rho == 1.0
+    assert report.assumptions.diagonally_dominant
+    assert report.dominance_penalty == report.ideal_gap_bound == math.inf
+    with pytest.raises(oc.DominanceViolatedError):
+        oc.dominance_penalty(inst)
+    with pytest.raises(oc.DominanceViolatedError):
+        oc.ideal_gap_bound(inst)
 
 
 def test_verify_linkless_instance():

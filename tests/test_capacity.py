@@ -9,10 +9,13 @@ import pytest
 import otocap as oc
 from conftest import (
     diamond_instance,
+    edge_route,
     line_instance,
+    linear_table_oracle,
     permute_relays,
     random_instance,
     raw_state_capacities,
+    state_space_instances,
 )
 
 
@@ -89,10 +92,12 @@ def test_capacity_single_hop():
     for result in (
         oc.capacity_imperfect(inst),
         oc.capacity_ideal(inst),
-        oc.capacity_ideal(inst, method="edge_lp"),
         oc.rate_tsn(inst),
     ):
         assert math.isclose(result.value, math.log2(5), abs_tol=1e-9)
+    value, per_cut, _ = edge_route(inst, oc.build_state_space(inst))
+    assert math.isclose(value, math.log2(5), abs_tol=1e-9)
+    assert math.isclose(per_cut.min(), math.log2(5), abs_tol=1e-9)
 
 
 def test_capacity_line_one_bit():
@@ -169,27 +174,36 @@ def test_result_self_consistency():
     for result in (
         oc.capacity_imperfect(inst),
         oc.capacity_ideal(inst),
-        oc.capacity_ideal(inst, method="edge_lp"),
         oc.rate_tsn(inst),
     ):
         assert math.isclose(result.value, min(result.per_cut_values.values()),
                             abs_tol=1e-6)
         assert math.isclose(result.schedule.total(), 1.0, abs_tol=1e-9)
         assert result.model_tag in {"imperfect", "ideal", "tsn"}
+    value, per_cut, schedule = edge_route(inst, oc.build_state_space(inst))
+    assert math.isclose(value, per_cut.min(), abs_tol=1e-6)
+    assert math.isclose(schedule.total(), 1.0, abs_tol=1e-9)
 
 
 def test_edge_route_matches_pattern_route():
     for seed in range(5):
         inst = random_instance(seed=seed + 100, relays=3, topology="random",
                                edge_probability=0.7)
-        a = oc.capacity_ideal(inst, method="pattern_lp").value
-        b = oc.capacity_ideal(inst, method="edge_lp").value
+        space = oc.build_state_space(inst)
+        a = oc.capacity_ideal(inst, space).value
+        b, per_cut, _ = edge_route(inst, space)
         assert math.isclose(a, b, abs_tol=1e-6)
+        assert math.isclose(a, per_cut.min(), abs_tol=1e-6)
 
 
-def test_capacity_ideal_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        oc.capacity_ideal(line_instance(1), method="magic")
+def test_linear_value_table_matches_set_based_oracle():
+    for inst in state_space_instances():
+        space = oc.build_state_space(inst)
+        rates = oc.link_rates(inst)
+        for model_rates in (rates.ideal, rates.tsn):
+            got = oc.linear_value_table(inst, space, model_rates).values
+            want = linear_table_oracle(space, model_rates)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("seed,relays,beta", [

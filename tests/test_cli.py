@@ -14,6 +14,7 @@ import pytest
 
 import otocap as oc
 import otocap.bounds
+import otocap.cli
 from otocap.cli import (
     REPORT_COLUMNS,
     InstanceFormatError,
@@ -182,6 +183,23 @@ def test_capacity_output_file(tmp_path, capsys):
     assert str(report) in err
     doc = json.loads(report.read_text())
     assert doc["instance"] == path
+
+
+def test_capacity_enumerates_once_per_command(tmp_path, capsys, monkeypatch):
+    _, path = write_instance(tmp_path, topology="diamond", relays=2, beta=0.2)
+    calls = []
+    build = otocap.cli.build_state_space
+
+    def counting(inst, *args, **kwargs):
+        calls.append(inst)
+        return build(inst, *args, **kwargs)
+
+    monkeypatch.setattr(otocap.cli, "build_state_space", counting)
+    for fmt in ("json", "csv"):
+        calls.clear()
+        assert main(["capacity", path, "--format", fmt]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_capacity_missing_file_exit_2(tmp_path, capsys):

@@ -1,9 +1,16 @@
 """Cut, pattern, and raw-state enumeration; caps; canonical ordering."""
 
+import numpy as np
 import pytest
 
 import otocap as oc
-from conftest import brute_force_patterns, diamond_instance, line_instance, random_instance
+from conftest import (
+    brute_force_patterns,
+    diamond_instance,
+    line_instance,
+    random_instance,
+    state_space_instances,
+)
 
 
 def omegas(cuts):
@@ -136,6 +143,45 @@ def test_state_space_index_maps():
     for k, c in enumerate(space.cuts):
         assert space.cut_index[c] == k
     assert space.patterns[space.empty_pattern_index] == oc.EMPTY_PATTERN
+
+
+def linked_at(space, row):
+    return {space.links[k] for k in np.flatnonzero(row)}
+
+
+def test_state_space_links_and_incidences_match_set_definitions():
+    for inst in state_space_instances():
+        n = inst.num_relays
+        space = oc.build_state_space(inst)
+        nonzero = {(i, j) for i in range(n + 1) for j in range(1, n + 2)
+                   if i != j and inst.channel[j, i] != 0}
+        assert space.links == tuple(inst.links())
+        assert set(space.links) == nonzero and len(space.links) == len(nonzero)
+
+        assert space.incidence.shape == (len(space.patterns), len(space.links))
+        assert space.crossing.shape == (len(space.cuts), len(space.links))
+        assert space.incidence.dtype == space.crossing.dtype == bool
+        for pattern, row in zip(space.patterns, space.incidence):
+            assert linked_at(space, row) == set(pattern.pairs)
+        for cut, row in zip(space.cuts, space.crossing):
+            omega = set(cut.omega)
+            assert linked_at(space, row) == {
+                (i, j) for i, j in nonzero if i in omega and j not in omega
+            }
+        assert not space.incidence.flags.writeable
+        assert not space.crossing.flags.writeable
+
+
+def test_crossing_matrix_of_no_links_and_of_edge_subsets():
+    inst = diamond_instance()
+    cuts = oc.enumerate_cuts(inst)
+    assert oc.crossing_matrix(cuts, []).shape == (4, 0)
+    # the edge LP passes its edges in its own order; columns follow it
+    edges = [(2, 3), (0, 1)]
+    np.testing.assert_array_equal(
+        oc.crossing_matrix(cuts, edges),
+        [[False, True], [False, False], [True, True], [True, False]],
+    )
 
 
 def test_enumeration_is_deterministic():

@@ -1,4 +1,4 @@
-"""Cut submatrices, diagonal arrangement, log-det values, det bounds, and
+"""Cut submatrices, per-pair cut blocks, log-det values, det bounds, and
 the batched cut-block kernel."""
 
 import math
@@ -36,33 +36,33 @@ def test_cut_submatrix_line_shapes_and_entries():
 
 def test_cut_state_matrix_wide_orientation_single_aligned():
     inst = line_instance(1, alpha=2.0, beta=0.5)
-    csm = oc.cut_state_matrix(inst, oc.AlignmentPattern(((0, 1),)), oc.Cut((0,), 1))
-    assert csm.oriented_wide and csm.transposed
+    pattern = oc.AlignmentPattern(((0, 1),))
+    csm = oc.cut_state_matrix(inst, pattern, oc.Cut((0,), 1))
+    # rows {1, 2} x column {0} is tall, so the block comes conjugate-transposed
     assert csm.m.shape == (1, 2)
-    assert csm.aligned_count == 1
     np.testing.assert_allclose(csm.m, [[2.0, 0.0]])
+    np.testing.assert_array_equal(csm.m, oc.effective_channel(inst, pattern)[1:, :1].conj().T)
 
 
 def test_cut_state_matrix_full_line_pattern():
     inst = line_instance(1, alpha=1.0, beta=0.0)
     pattern = oc.AlignmentPattern(((0, 1), (1, 2)))
     csm = oc.cut_state_matrix(inst, pattern, oc.Cut((0, 1), 1))
-    # Only (1 -> 2) crosses the cut; 0 -> 1 stays inside Omega.
-    assert csm.aligned_count == 1
+    # Only (1 -> 2) crosses the cut; 0 -> 1 stays inside Omega.  Row {2},
+    # columns {0, 1} in ascending order.
     assert csm.m.shape == (1, 2)
-    np.testing.assert_allclose(csm.m, [[1.0, 0.0]])
-    assert csm.row_labels == (2,)
-    assert csm.col_labels == (1, 0)
+    np.testing.assert_allclose(csm.m, [[0.0, 1.0]])
+    np.testing.assert_array_equal(csm.m, oc.effective_channel(inst, pattern)[2:, :2])
 
 
 def test_cut_state_matrix_diamond_two_aligned_on_diagonal():
     inst = diamond_instance(alpha=3.0, beta=0.5)
     pattern = oc.AlignmentPattern(((0, 1), (2, 3)))
     csm = oc.cut_state_matrix(inst, pattern, oc.Cut((0, 2), 2))
-    assert csm.aligned_count == 2
-    assert csm.row_labels == (1, 3)
-    assert csm.col_labels == (0, 2)
+    # rows {1, 3} x columns {0, 2}: 0 -> 1 and 2 -> 3 both cross the cut
     np.testing.assert_allclose(csm.m, [[3.0, 0.0], [0.0, 3.0]])
+    h = oc.effective_channel(inst, pattern)
+    np.testing.assert_array_equal(csm.m, h[np.ix_([1, 3], [0, 2])])
 
 
 def test_cut_state_matrix_empty_pattern_beta_zero():
@@ -70,7 +70,6 @@ def test_cut_state_matrix_empty_pattern_beta_zero():
     for cut in oc.enumerate_cuts(inst):
         csm = oc.cut_state_matrix(inst, oc.EMPTY_PATTERN, cut)
         assert np.all(csm.m == 0)
-        assert csm.aligned_count == 0
 
 
 def test_log_det_hand_values():
@@ -78,16 +77,10 @@ def test_log_det_hand_values():
     zero = oc.cut_state_matrix(inst, oc.EMPTY_PATTERN, oc.Cut((0,), 2))
     assert oc.log_det_capacity(zero, 1.0) == 0.0
 
-    ident = oc.CutStateMatrix(
-        m=np.eye(2, dtype=np.complex128), row_labels=(1, 3), col_labels=(0, 2),
-        aligned_count=2, oriented_wide=True, transposed=False,
-    )
+    ident = oc.CutStateMatrix(m=np.eye(2, dtype=np.complex128))
     assert math.isclose(oc.log_det_capacity(ident, 3.0), 4.0, rel_tol=1e-12)
 
-    row = oc.CutStateMatrix(
-        m=np.array([[2.0, 0.0]], dtype=np.complex128), row_labels=(1,),
-        col_labels=(0, 2), aligned_count=1, oriented_wide=True, transposed=False,
-    )
+    row = oc.CutStateMatrix(m=np.array([[2.0, 0.0]], dtype=np.complex128))
     assert math.isclose(oc.log_det_capacity(row, 1.0), math.log2(5), rel_tol=1e-12)
 
 
@@ -136,20 +129,13 @@ def test_log_det_matches_slogdet_oracle_and_permutations():
             rows, cols = cols, rows
         m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         power = float(rng.uniform(0.1, 4.0))
-        csm = oc.CutStateMatrix(
-            m=m, row_labels=tuple(range(rows)), col_labels=tuple(range(cols)),
-            aligned_count=0, oriented_wide=True, transposed=False,
-        )
+        csm = oc.CutStateMatrix(m=m)
         want = logdet_oracle(m, power)
         assert math.isclose(oc.log_det_capacity(csm, power), want, rel_tol=1e-9)
 
         perm_r = rng.permutation(rows)
         perm_c = rng.permutation(cols)
-        permuted = csm.__class__(
-            m=m[np.ix_(perm_r, perm_c)], row_labels=tuple(perm_r),
-            col_labels=tuple(perm_c), aligned_count=0, oriented_wide=True,
-            transposed=False,
-        )
+        permuted = oc.CutStateMatrix(m=m[np.ix_(perm_r, perm_c)])
         assert math.isclose(oc.log_det_capacity(permuted, power), want, rel_tol=1e-9)
 
         # Sylvester: M M^H and M^H M give the same nonzero spectrum.
@@ -213,27 +199,21 @@ def test_gram_sandwich_on_assumption_passing_instance():
             assert val <= math.log2(hi) + 1e-9
 
 
-def test_aligned_diagonal_invariant():
+def test_cut_state_matrix_entries_match_effective_channel():
     inst = random_instance(seed=30, relays=3, beta=0.3, alpha=2.0)
     space = oc.build_state_space(inst)
     for pattern in space.patterns:
+        h = oc.effective_channel(inst, pattern)
         for cut in space.cuts:
-            csm = oc.cut_state_matrix(inst, pattern, cut)
-            assert csm.aligned_count <= min(csm.m.shape)
-            crossing = sorted(
-                (i, j) for i, j in pattern.pairs
-                if i in cut.omega and j in cut.complement
-            )
-            assert csm.aligned_count == len(crossing)
-            for k, (i, j) in enumerate(crossing):
-                if csm.transposed:
-                    tx, rx = csm.row_labels[k], csm.col_labels[k]
-                    expected = (inst.alpha * inst.channel[rx, tx]).conjugate()
-                else:
-                    rx, tx = csm.row_labels[k], csm.col_labels[k]
-                    expected = inst.alpha * inst.channel[rx, tx]
-                assert (tx, rx) == (i, j)
-                assert csm.m[k, k] == expected
+            m = oc.cut_state_matrix(inst, pattern, cut).m
+            rows, cols = cut.complement, cut.omega
+            if len(rows) > len(cols):
+                m = m.conj().T
+            assert m.shape == (len(rows), len(cols))
+            for r, j in enumerate(rows):
+                for c, i in enumerate(cols):
+                    gain = inst.alpha if (i, j) in pattern else inst.beta
+                    assert m[r, c] == h[j, i] == gain * inst.channel[j, i]
 
 
 # -- batched cut-block kernel ---------------------------------------------
@@ -305,7 +285,7 @@ def test_kernel_dedups_to_distinct_cut_restrictions():
 def test_kernel_rejects_pattern_on_zero_link():
     inst = line_instance(2)
     space = oc.StateSpace(patterns=(oc.AlignmentPattern(((0, 2),)),),
-                          cuts=tuple(oc.enumerate_cuts(inst)))
+                          cuts=tuple(oc.enumerate_cuts(inst)), links=tuple(inst.links()))
     with pytest.raises(oc.InvalidPatternError):
         oc.cut_block_tables(inst, space)
 
@@ -328,7 +308,7 @@ def test_kernel_rejects_a_cut_crossed_by_too_many_links():
     links = {(i, j): 1.0 for i in range(16) for j in range(i + 1, 16)}
     inst = oc.NetworkInstance.from_links(14, links, 1.0, 1.0, 0.1)
     space = oc.StateSpace(patterns=(oc.AlignmentPattern(()),),
-                          cuts=(oc.Cut(tuple(range(8)), 14),))
+                          cuts=(oc.Cut(tuple(range(8)), 14),), links=tuple(inst.links()))
     with pytest.raises(oc.EnumerationCapError, match="crossed by 64"):
         oc.cut_block_tables(inst, space)
 
