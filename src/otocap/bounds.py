@@ -220,34 +220,17 @@ def ideal_gap_bound(inst: NetworkInstance, space: StateSpace | None = None) -> f
     return _ideal_gap_terms(inst.num_relays, _strict_max_rho(inst, space))[1]
 
 
-def _gain_ratio(inst: NetworkInstance, mode: str) -> float:
-    """Worst squared-magnitude ratio between two links.
+def _gain_ratio(inst: NetworkInstance) -> float:
+    """Worst squared-magnitude ratio between two nonzero links.
 
-    ``superset`` compares every ordered pair of nonzero links (a
-    conservative superset of the index constraints the analysis needs);
-    ``chain`` restricts to link pairs with all four endpoints distinct
-    and is 0 when no such pair exists.
+    Compares every ordered pair of links, a conservative superset of the
+    index constraints the analysis needs; NaN for a linkless instance.
     """
-    links = inst.links()
-    if not links:
-        return math.nan
-    mags = {e: abs(inst.channel[e[1], e[0]]) ** 2 for e in links}
-    if mode == "superset":
-        return max(mags.values()) / min(mags.values())
-    if mode == "chain":
-        best = 0.0
-        for i, j in links:
-            for n_, m_ in links:
-                if {i, j} & {n_, m_}:
-                    continue
-                best = max(best, mags[(n_, m_)] / mags[(i, j)])
-        return best
-    raise ValueError(f"unknown ratio mode {mode!r}")
+    mags = [abs(inst.channel[j, i]) ** 2 for i, j in inst.links()]
+    return max(mags) / min(mags) if mags else math.nan
 
 
-def constant_gap_condition(
-    inst: NetworkInstance, ratio_mode: str = "superset"
-) -> RatioCondition:
+def constant_gap_condition(inst: NetworkInstance) -> RatioCondition:
     """Check alpha/beta against the threshold for the N log2 N gap.
 
     The threshold is Delta^2 * N/(N-1) * (worst link-gain ratio).  Not
@@ -260,7 +243,7 @@ def constant_gap_condition(
         return RatioCondition(
             ratio=ratio, threshold=math.nan, satisfied=False, applicable=False
         )
-    threshold = max_degree(inst) ** 2 * (n / (n - 1)) * _gain_ratio(inst, ratio_mode)
+    threshold = max_degree(inst) ** 2 * (n / (n - 1)) * _gain_ratio(inst)
     return RatioCondition(
         ratio=ratio,
         threshold=float(threshold),
@@ -269,9 +252,7 @@ def constant_gap_condition(
     )
 
 
-def analytic_dominance_bound(
-    inst: NetworkInstance, ratio_mode: str = "superset"
-) -> float:
+def analytic_dominance_bound(inst: NetworkInstance) -> float:
     """Closed-form upper bound on the dominance sweep's maximum ratio.
 
     [2*alpha*beta + (Delta-2)*beta^2] * (Delta-1) / alpha^2 times the
@@ -282,7 +263,7 @@ def analytic_dominance_bound(
     if delta <= 1:
         return 0.0
     bracket = 2.0 * inst.alpha * inst.beta + (delta - 2) * inst.beta**2
-    return bracket * (delta - 1) / inst.alpha**2 * _gain_ratio(inst, ratio_mode)
+    return bracket * (delta - 1) / inst.alpha**2 * _gain_ratio(inst)
 
 
 def tsn_gap_bound(inst: NetworkInstance) -> float:

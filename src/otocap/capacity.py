@@ -19,7 +19,7 @@ All rates are bits per channel use, logs base 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,24 +152,20 @@ class CapacityResult:
     blocks: CutBlockTables | None = field(default=None, repr=False, compare=False)
 
 
-def _result_from_schedule(
+def _solve(
     space: StateSpace,
     table: MaxMinProblem,
-    schedule: Schedule,
     tag: str,
     blocks: CutBlockTables | None = None,
 ) -> CapacityResult:
-    lam = np.zeros(len(space.patterns))
-    for k, w in schedule.weights.items():
-        lam[k] = w
+    """Solve the pattern LP; its column k is ``space.patterns[k]``."""
+    lam = solve_maxmin(table)
     per_cut = table.values @ lam
-    value = float(np.min(per_cut))
-    per_cut_values = {cut: float(per_cut[ck]) for ck, cut in enumerate(space.cuts)}
     return CapacityResult(
-        value=value,
-        schedule=replace(schedule, value=value),
+        value=float(np.min(per_cut)),
+        schedule=Schedule({space.patterns[k]: float(lam[k]) for k in np.flatnonzero(lam)}),
         model_tag=tag,
-        per_cut_values=per_cut_values,
+        per_cut_values={cut: float(per_cut[ck]) for ck, cut in enumerate(space.cuts)},
         blocks=blocks,
     )
 
@@ -180,9 +176,7 @@ def capacity_imperfect(
     """Approximate capacity of the side-lobe (imperfect beamforming) model."""
     space = space or build_state_space(inst)
     blocks = imperfect_value_table(inst, space)
-    table = MaxMinProblem(values=blocks.values)
-    schedule = solve_maxmin(table)
-    return _result_from_schedule(space, table, schedule, "imperfect", blocks)
+    return _solve(space, MaxMinProblem(values=blocks.values), "imperfect", blocks)
 
 
 def capacity_ideal(inst: NetworkInstance, space: StateSpace | None = None) -> CapacityResult:
@@ -192,15 +186,11 @@ def capacity_ideal(inst: NetworkInstance, space: StateSpace | None = None) -> Ca
     """
     space = space or build_state_space(inst)
     rates = link_rates(inst).ideal
-    table = linear_value_table(inst, space, rates)
-    schedule = solve_maxmin(table)
-    return _result_from_schedule(space, table, schedule, "ideal")
+    return _solve(space, linear_value_table(inst, space, rates), "ideal")
 
 
 def rate_tsn(inst: NetworkInstance, space: StateSpace | None = None) -> CapacityResult:
     """Achievable rate when side-lobe leakage is treated as noise."""
     space = space or build_state_space(inst)
     rates = link_rates(inst).tsn
-    table = linear_value_table(inst, space, rates)
-    schedule = solve_maxmin(table)
-    return _result_from_schedule(space, table, schedule, "tsn")
+    return _solve(space, linear_value_table(inst, space, rates), "tsn")

@@ -30,7 +30,7 @@ from dataclasses import replace
 
 from .bounds import GapReport, TheoremViolationError, verify_instance
 from .capacity import CapacityResult, capacity_ideal, capacity_imperfect, rate_tsn
-from .enumeration import EnumerationCapError, StateSpace, build_state_space
+from .enumeration import EnumerationCapError, build_state_space
 from .instancegen import GenSpec, generate
 from .model import NetworkInstance, validate_instance
 
@@ -262,16 +262,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _schedule_payload(space: StateSpace, result: CapacityResult) -> list[dict]:
-    payload = []
-    for idx in sorted(result.schedule.weights):
-        payload.append(
-            {
-                "pattern": [list(pair) for pair in space.patterns[idx].pairs],
-                "weight": result.schedule.weights[idx],
-            }
-        )
-    return payload
+def _schedule_payload(result: CapacityResult) -> list[dict]:
+    return [
+        {"pattern": [list(pair) for pair in pattern.pairs], "weight": weight}
+        for pattern, weight in result.schedule.weights.items()
+    ]
 
 
 def cmd_capacity(args) -> int:
@@ -294,7 +289,7 @@ def cmd_capacity(args) -> int:
                 {
                     "model": r.model_tag,
                     "value_bits": r.value,
-                    "schedule": _schedule_payload(space, r),
+                    "schedule": _schedule_payload(r),
                 }
                 for r in results
             ],
@@ -307,7 +302,7 @@ def cmd_capacity(args) -> int:
         for r in results:
             packed = ";".join(
                 "+".join(f"{i}-{j}" for i, j in entry_["pattern"]) + f"@{entry_['weight']:.12g}"
-                for entry_ in _schedule_payload(space, r)
+                for entry_ in _schedule_payload(r)
             )
             writer.writerow([r.model_tag, f"{r.value:.12g}", r.schedule.support_size, packed])
         out = buf.getvalue().rstrip("\n")

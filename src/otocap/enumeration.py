@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
-    EMPTY_PATTERN,
     AlignmentPattern,
     Cut,
     InvalidPatternError,
@@ -212,18 +211,6 @@ class StateSpace:
     patterns: tuple[AlignmentPattern, ...]
     cuts: tuple[Cut, ...]
     links: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def pattern_index(self) -> dict[AlignmentPattern, int]:
-        return {p: k for k, p in enumerate(self.patterns)}
-
-    @cached_property
-    def cut_index(self) -> dict[Cut, int]:
-        return {c: k for k, c in enumerate(self.cuts)}
-
-    @cached_property
-    def empty_pattern_index(self) -> int:
-        return self.patterns.index(EMPTY_PATTERN)
 
     @cached_property
     def incidence(self) -> np.ndarray:

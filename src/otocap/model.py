@@ -169,10 +169,6 @@ class NetworkInstance:
     def destination(self) -> int:
         return self.num_relays + 1
 
-    def link_gain(self, i: int, j: int) -> complex:
-        """Raw channel coefficient of the link i -> j."""
-        return complex(self.channel[j, i])
-
     def has_link(self, i: int, j: int) -> bool:
         return (
             0 <= i <= self.num_relays
@@ -284,29 +280,13 @@ def _destination_reachable(inst: NetworkInstance) -> bool:
     return False
 
 
-def max_degree(inst: NetworkInstance, mode: str = "undirected") -> int:
+def max_degree(inst: NetworkInstance) -> int:
     """Maximum node degree over the nonzero-link topology.
 
-    ``undirected`` (default) counts distinct neighbors in either
-    direction, so a node with links both to and from the same peer
-    counts that peer once.  ``in`` and ``out`` count directed links at
-    the busiest receiver / transmitter instead.
+    Counts distinct neighbors in either direction, so a node with links
+    both to and from the same peer counts that peer once.
     """
-    if mode == "undirected":
-        counts = [len(inst.neighbors(v)) for v in range(inst.n_nodes)]
-    elif mode == "in":
-        counts = [
-            sum(inst.has_link(i, j) for i in range(inst.n_nodes))
-            for j in range(inst.n_nodes)
-        ]
-    elif mode == "out":
-        counts = [
-            sum(inst.has_link(i, j) for j in range(inst.n_nodes))
-            for i in range(inst.n_nodes)
-        ]
-    else:
-        raise ValueError(f"unknown degree mode {mode!r}")
-    return max(counts, default=0)
+    return max((len(inst.neighbors(v)) for v in range(inst.n_nodes)), default=0)
 
 
 def validate_pattern(inst: NetworkInstance, pattern: AlignmentPattern) -> None:

@@ -12,8 +12,10 @@ Two equivalent routes to an optimal schedule:
 Both are epigraph LPs ``max t  s.t.  (cut value) >= t`` handed to
 HiGHS via scipy.  The solver is deterministic for a fixed input, the
 reported objective is always re-derived from the returned variables
-(never read off solver internals), and the dual certificate is checked
-whenever HiGHS provides one.
+(never read off solver internals), and the dual certificate is always
+checked.  The pattern LP knows columns, not patterns: it returns the
+weight vector over its columns, and the caller that built the table
+names the patterns.  Schedules are keyed by ``AlignmentPattern``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .enumeration import StateSpace, crossing_matrix, enumerate_cuts
-from .model import AlignmentPattern, NetworkInstance
+from .enumeration import crossing_matrix, enumerate_cuts
+from .model import EMPTY_PATTERN, AlignmentPattern, NetworkInstance
 
 __all__ = [
     "MaxMinProblem",
@@ -69,15 +71,13 @@ class MaxMinProblem:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Activation-time distribution over canonical pattern indices.
+    """Activation-time distribution over alignment patterns.
 
-    ``weights`` keeps only strictly positive entries; ``value`` is the
-    achieved max-min objective when known (None for schedules produced
-    without a value table in scope, e.g. by edge decomposition).
+    ``weights`` keeps only strictly positive entries, in canonical
+    pattern order (ascending ``pairs``, empty pattern first).
     """
 
-    weights: dict[int, float]
-    value: float | None = None
+    weights: dict[AlignmentPattern, float]
 
     @property
     def support_size(self) -> int:
@@ -98,7 +98,7 @@ def _check_duality(res, b_ub, b_eq, reported: float) -> None:
     ineq = getattr(res, "ineqlin", None)
     eq = getattr(res, "eqlin", None)
     if ineq is None or ineq.marginals is None:
-        return
+        raise SolverError("HiGHS returned no inequality marginals to check the optimum with")
     dual = float(b_ub @ ineq.marginals)
     if eq is not None and eq.marginals is not None and len(b_eq):
         dual += float(b_eq @ eq.marginals)
@@ -107,11 +107,13 @@ def _check_duality(res, b_ub, b_eq, reported: float) -> None:
         raise SolverError(f"duality gap {gap:.3e} exceeds tolerance at value {reported:.6g}")
 
 
-def solve_maxmin(problem: MaxMinProblem) -> Schedule:
+def solve_maxmin(problem: MaxMinProblem) -> np.ndarray:
     """Maximise the minimum cut value over pattern distributions.
 
-    Returns a schedule whose value is the exact minimum over cuts
-    recomputed from the (renormalised, floor-snapped) weights.
+    Returns the weight of every column of the value table, renormalised
+    to sum to one with weights below WEIGHT_FLOOR snapped to zero.
+    Raises SolverError when HiGHS fails, returns no dual values, or its
+    dual objective misses the value these weights achieve.
     """
     v = problem.values
     n_cuts, n_patterns = v.shape
@@ -146,10 +148,8 @@ def solve_maxmin(problem: MaxMinProblem) -> Schedule:
         raise SolverError("max-min LP returned an all-zero schedule")
     lam /= total
 
-    value = float(np.min(v @ lam))
-    _check_duality(res, b_ub, b_eq, value)
-    weights = {k: float(w) for k, w in enumerate(lam) if w > 0.0}
-    return Schedule(weights=weights, value=value)
+    _check_duality(res, b_ub, b_eq, float(np.min(v @ lam)))
+    return lam
 
 
 def _validate_edge(inst: NetworkInstance, edge: tuple[int, int]) -> None:
@@ -207,7 +207,7 @@ def solve_edge_lp(
     return value, EdgeFractions(fractions=fractions)
 
 
-def decompose_edge_fractions(x: EdgeFractions, space: StateSpace) -> Schedule:
+def decompose_edge_fractions(x: EdgeFractions) -> Schedule:
     """Peel edge fractions into a schedule over partial matchings.
 
     Repeatedly extracts a matching that covers every node whose residual
@@ -223,8 +223,6 @@ def decompose_edge_fractions(x: EdgeFractions, space: StateSpace) -> Schedule:
         i, j = e
         if i == j or not (i >= 0 and j >= 1):
             raise ValueError(f"invalid edge {e} in fractions")
-        if e not in space.links:
-            raise ValueError(f"edge {e} is not a nonzero link of the state space")
         if v > 1.0 + 1e-9:
             raise ValueError(f"fraction for edge {e} exceeds 1: {v}")
 
@@ -269,15 +267,11 @@ def decompose_edge_fractions(x: EdgeFractions, space: StateSpace) -> Schedule:
     if residual:
         raise RuntimeError("decomposition did not terminate (internal error)")
 
-    out: dict[int, float] = {}
-    for pattern, w in weights.items():
-        if w > WEIGHT_FLOOR:
-            out[space.pattern_index[pattern]] = out.get(space.pattern_index[pattern], 0.0) + w
+    out = {pattern: w for pattern, w in weights.items() if w > WEIGHT_FLOOR}
     remainder = 1.0 - sum(out.values())
     if remainder > WEIGHT_FLOOR:
-        empty = space.empty_pattern_index
-        out[empty] = out.get(empty, 0.0) + remainder
-    return Schedule(weights=dict(sorted(out.items())), value=None)
+        out[EMPTY_PATTERN] = remainder
+    return Schedule(weights=dict(sorted(out.items(), key=lambda kv: kv[0].pairs)))
 
 
 def _cover_matching(residual, tx_nodes, rx_nodes, tight_tx, tight_rx):

@@ -146,7 +146,8 @@ def raw_state_capacities(inst):
             v_tsn[ci, si] = sum(rate_tsn[e] for e in crossing)
 
     return tuple(
-        oc.solve_maxmin(oc.MaxMinProblem(v)).value for v in (v_imp, v_ideal, v_tsn)
+        float(np.min(v @ oc.solve_maxmin(oc.MaxMinProblem(v))))
+        for v in (v_imp, v_ideal, v_tsn)
     )
 
 
@@ -172,16 +173,22 @@ def linear_table_oracle(space, rates):
     return v
 
 
-def edge_route(inst, space):
+def edge_route(inst):
     """The ideal model through the edge LP: (LP value, per-cut values of
-    the schedule decomposed from its fractions, that schedule)."""
+    the schedule decomposed from its fractions, that schedule).
+
+    Each cut's value sums, over the schedule's patterns, the weight times
+    the rates of the aligned links that leave the cut's source side.
+    """
     rates = oc.link_rates(inst).ideal
     value, fractions = oc.solve_edge_lp(inst, rates)
-    schedule = oc.decompose_edge_fractions(fractions, space)
-    lam = np.zeros(len(space.patterns))
-    for k, w in schedule.weights.items():
-        lam[k] = w
-    return value, linear_table_oracle(space, rates) @ lam, schedule
+    schedule = oc.decompose_edge_fractions(fractions)
+    per_cut = np.array([
+        sum(w * rates[(i, j)] for pattern, w in schedule.weights.items()
+            for i, j in pattern.pairs if i in cut.omega and j not in cut.omega)
+        for cut in oc.enumerate_cuts(inst)
+    ])
+    return value, per_cut, schedule
 
 
 def per_pair_tables(inst, space):

@@ -213,7 +213,7 @@ def test_criterion_7_pattern_and_edge_lp_agree():
                                       seed=7000 + k, edge_probability=0.7))
         space = oc.build_state_space(inst)
         pattern = oc.capacity_ideal(inst, space)
-        edge_value, per_cut, _ = edge_route(inst, space)
+        edge_value, per_cut, _ = edge_route(inst)
         worst_lp = max(worst_lp, abs(pattern.value - edge_value))
         # the schedule rebuilt from the edge fractions by decomposition
         # must reproduce the edge LP's value as its per-cut minimum

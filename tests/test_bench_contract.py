@@ -18,7 +18,11 @@ import otocap as oc
 import otocap.capacity
 from otocap.cli import main, save_instance
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "bench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "bench" / "layertrace.py"
+# per-layer metrics that bench/run.py computes itself, not from the spans
+COMPUTED_BY_RUNNER = {"matrices.unique_block_ratio", "cli.output_bytes",
+                      "trace.overhead_frac", "trace.coverage"}
 
 
 def load_layertrace():
@@ -87,6 +91,26 @@ def test_traced_run_reports_every_layer(tmp_path):
     # one enumeration per capacity command
     for item in range(1, len(commands) + 1):
         assert rec.summarize([item])["cli.build_state_space.calls"] == 1
+
+
+def test_traced_run_yields_every_declared_per_layer_metric(tmp_path):
+    """A traced generate, verify and capacity command report every
+    per-layer name BENCHMARK.json declares, sized metrics included."""
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert COMPUTED_BY_RUNNER <= declared
+    lt = load_layertrace()
+    rec = lt.Recorder()
+    path = tmp_path / "inst.json"
+    with lt.traced(rec, oc):
+        rec.item = "setup"
+        inst = oc.generate(oc.GenSpec(topology="full", relays=2, channel="rayleigh", beta=0.3))
+        save_instance(inst, str(path))
+        rec.item = 0
+        oc.verify_instance(inst)
+        rec.item = 1
+        assert main(["capacity", str(path), "-o", str(tmp_path / "out.json")]) == 0
+    metrics = rec.summarize(["setup", 0, 1])
+    assert sorted(declared - COMPUTED_BY_RUNNER - metrics.keys()) == []
 
 
 IMPORT_PROBE = """

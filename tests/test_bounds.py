@@ -147,13 +147,11 @@ def test_constant_gap_condition_edge_cases():
     assert not oc.constant_gap_condition(empty).applicable
 
 
-def test_gain_ratio_modes():
+def test_constant_gap_threshold_hand_value():
     inst = diamond_instance(alpha=8.0, beta=1.0, gains=(2.0, 1.0, 1.0, 1.0))
-    sup = oc.constant_gap_condition(inst, ratio_mode="superset")
-    chain = oc.constant_gap_condition(inst, ratio_mode="chain")
-    assert sup.threshold >= chain.threshold - 1e-12
-    # superset ratio is max gain^2 / min gain^2 = 4
-    assert math.isclose(sup.threshold, 4.0 * 2.0 * 4.0, rel_tol=1e-12)
+    # Delta^2 * N/(N-1) * (max gain^2 / min gain^2) = 4 * 2 * 4
+    cond = oc.constant_gap_condition(inst)
+    assert math.isclose(cond.threshold, 4.0 * 2.0 * 4.0, rel_tol=1e-12)
 
 
 def test_analytic_dominance_bound_hand_value():

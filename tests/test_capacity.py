@@ -95,7 +95,7 @@ def test_capacity_single_hop():
         oc.rate_tsn(inst),
     ):
         assert math.isclose(result.value, math.log2(5), abs_tol=1e-9)
-    value, per_cut, _ = edge_route(inst, oc.build_state_space(inst))
+    value, per_cut, _ = edge_route(inst)
     assert math.isclose(value, math.log2(5), abs_tol=1e-9)
     assert math.isclose(per_cut.min(), math.log2(5), abs_tol=1e-9)
 
@@ -180,7 +180,7 @@ def test_result_self_consistency():
                             abs_tol=1e-6)
         assert math.isclose(result.schedule.total(), 1.0, abs_tol=1e-9)
         assert result.model_tag in {"imperfect", "ideal", "tsn"}
-    value, per_cut, schedule = edge_route(inst, oc.build_state_space(inst))
+    value, per_cut, schedule = edge_route(inst)
     assert math.isclose(value, per_cut.min(), abs_tol=1e-6)
     assert math.isclose(schedule.total(), 1.0, abs_tol=1e-9)
 
@@ -191,7 +191,7 @@ def test_edge_route_matches_pattern_route():
                                edge_probability=0.7)
         space = oc.build_state_space(inst)
         a = oc.capacity_ideal(inst, space).value
-        b, per_cut, _ = edge_route(inst, space)
+        b, per_cut, _ = edge_route(inst)
         assert math.isclose(a, b, abs_tol=1e-6)
         assert math.isclose(a, per_cut.min(), abs_tol=1e-6)
 

@@ -162,6 +162,23 @@ def test_capacity_json_all_models(tmp_path, capsys):
         assert math.isclose(total, 1.0, abs_tol=1e-9)
 
 
+def test_capacity_json_schedules_in_canonical_pattern_order(tmp_path, capsys):
+    inst, path = write_instance(tmp_path, topology="full", relays=3, channel="rayleigh",
+                                beta=0.3, seed=4)
+    assert main(["capacity", path, "--model", "all", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr()[0])
+    canonical = oc.build_state_space(inst).patterns
+    models = {"imperfect": oc.capacity_imperfect, "ideal": oc.capacity_ideal,
+              "tsn": oc.rate_tsn}
+    for r in doc["results"]:
+        weights = models[r["model"]](inst).schedule.weights
+        listed = [oc.AlignmentPattern(tuple(map(tuple, s["pattern"]))) for s in r["schedule"]]
+        assert listed == [p for p in canonical if p in listed]
+        assert listed == list(weights)
+        for pattern, s in zip(listed, r["schedule"]):
+            assert s["weight"] == weights[pattern]
+
+
 def test_capacity_single_model_csv(tmp_path, capsys):
     _, path = write_instance(tmp_path, topology="line", relays=1)
     assert main(["capacity", path, "--model", "ideal", "--format", "csv"]) == 0

@@ -134,17 +134,6 @@ def test_enumeration_caps_and_env_override(monkeypatch):
         oc.default_caps()
 
 
-def test_state_space_index_maps():
-    inst = diamond_instance()
-    space = oc.build_state_space(inst)
-    assert len(space.cuts) == 2 ** inst.num_relays
-    for k, p in enumerate(space.patterns):
-        assert space.pattern_index[p] == k
-    for k, c in enumerate(space.cuts):
-        assert space.cut_index[c] == k
-    assert space.patterns[space.empty_pattern_index] == oc.EMPTY_PATTERN
-
-
 def linked_at(space, row):
     return {space.links[k] for k in np.flatnonzero(row)}
 

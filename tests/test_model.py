@@ -81,16 +81,8 @@ def test_max_degree_hand_values():
     assert oc.max_degree(diamond_instance()) == 2
     empty = oc.NetworkInstance(1, np.zeros((3, 3), dtype=np.complex128), 1.0, 1.0, 0.0)
     assert oc.max_degree(empty) == 0
-
-
-def test_max_degree_directed_modes():
-    inst = random_instance(seed=1, relays=2, channel="unit")  # full topology
-    # Node 0 transmits to 1, 2, 3; node 3 receives from 0, 1, 2.
-    assert oc.max_degree(inst, mode="out") == 3
-    assert oc.max_degree(inst, mode="in") == 3
-    assert oc.max_degree(inst, mode="undirected") == 3
-    with pytest.raises(ValueError):
-        oc.max_degree(inst, mode="sideways")
+    # full N=2: every node neighbours the other three
+    assert oc.max_degree(random_instance(seed=1, relays=2, channel="unit")) == 3
 
 
 def test_effective_channel_line_example():

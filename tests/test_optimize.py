@@ -10,32 +10,35 @@ from conftest import diamond_instance, line_instance, random_instance
 
 
 def solve(v):
-    return oc.solve_maxmin(oc.MaxMinProblem(np.asarray(v, dtype=float)))
+    """(weight vector, max-min value) of the pattern LP over table v."""
+    v = np.asarray(v, dtype=float)
+    lam = oc.solve_maxmin(oc.MaxMinProblem(v))
+    return lam, float(np.min(v @ lam))
 
 
 def test_maxmin_single_cell():
-    sched = solve([[1.0]])
-    assert math.isclose(sched.value, 1.0, abs_tol=1e-9)
-    assert sched.weights == {0: 1.0}
+    lam, value = solve([[1.0]])
+    assert math.isclose(value, 1.0, abs_tol=1e-9)
+    assert lam.tolist() == [1.0]
 
 
 def test_maxmin_symmetric_split():
-    sched = solve([[1.0, 0.0], [0.0, 1.0]])
-    assert math.isclose(sched.value, 0.5, abs_tol=1e-9)
-    assert math.isclose(sched.weights[0], 0.5, abs_tol=1e-9)
-    assert math.isclose(sched.weights[1], 0.5, abs_tol=1e-9)
+    lam, value = solve([[1.0, 0.0], [0.0, 1.0]])
+    assert math.isclose(value, 0.5, abs_tol=1e-9)
+    assert math.isclose(lam[0], 0.5, abs_tol=1e-9)
+    assert math.isclose(lam[1], 0.5, abs_tol=1e-9)
 
 
 def test_maxmin_picks_dominant_column():
-    sched = solve([[1.0, 3.0]])
-    assert math.isclose(sched.value, 3.0, abs_tol=1e-9)
-    assert sched.weights == {1: 1.0}
+    lam, value = solve([[1.0, 3.0]])
+    assert math.isclose(value, 3.0, abs_tol=1e-9)
+    assert lam.tolist() == [0.0, 1.0]
 
 
 def test_maxmin_weight_cleanup():
-    sched = solve([[1.0, 1.0 - 1e-15]])
-    assert math.isclose(sched.total(), 1.0, abs_tol=1e-9)
-    assert all(w > 0 for w in sched.weights.values())
+    lam, _ = solve([[1.0, 1.0 - 1e-15]])
+    assert math.isclose(lam.sum(), 1.0, abs_tol=1e-9)
+    assert np.all((lam == 0.0) | (lam >= oc.optimize.WEIGHT_FLOOR))
 
 
 def test_maxmin_rejects_bad_tables():
@@ -54,27 +57,40 @@ def test_maxmin_scale_equivariance():
     rng = np.random.Generator(np.random.Philox(77))
     for _ in range(10):
         v = rng.uniform(0.0, 5.0, size=(rng.integers(1, 6), rng.integers(1, 7)))
-        base = solve(v)
+        _, base = solve(v)
         c = float(rng.uniform(0.2, 9.0))
-        scaled = solve(c * v)
-        assert math.isclose(scaled.value, c * base.value, rel_tol=1e-7, abs_tol=1e-9)
-        lam = np.zeros(v.shape[1])
-        for k, w in scaled.weights.items():
-            lam[k] = w
-        achieved = float(np.min((c * v) @ lam))
-        assert achieved >= scaled.value - 1e-7
+        _, scaled = solve(c * v)
+        assert math.isclose(scaled, c * base, rel_tol=1e-7, abs_tol=1e-9)
 
 
 def test_maxmin_schedule_self_consistency():
     rng = np.random.Generator(np.random.Philox(78))
     v = rng.uniform(0.0, 3.0, size=(6, 12))
-    sched = solve(v)
-    lam = np.zeros(v.shape[1])
-    for k, w in sched.weights.items():
-        assert w >= 0
-        lam[k] = w
+    lam, value = solve(v)
+    assert lam.shape == (12,)
+    assert np.all(lam >= 0)
     assert math.isclose(lam.sum(), 1.0, abs_tol=1e-9)
-    assert math.isclose(float(np.min(v @ lam)), sched.value, abs_tol=1e-6)
+    # no worse than any single column or the uniform mixture
+    assert value >= v.min(axis=0).max() - 1e-9
+    assert value >= float(np.min(v.mean(axis=1))) - 1e-9
+
+
+@pytest.mark.parametrize("solve_lp", [
+    lambda: solve([[1.0, 0.0], [0.0, 1.0]]),
+    lambda: oc.solve_edge_lp(line_instance(1), {(0, 1): 1.0, (1, 2): 1.0}),
+], ids=["pattern_lp", "edge_lp"])
+def test_missing_marginals_raise_solver_error(monkeypatch, solve_lp):
+    real = oc.optimize.linprog
+
+    def without_marginals(*args, **kwargs):
+        res = real(*args, **kwargs)
+        assert res.status == 0
+        del res["ineqlin"]
+        return res
+
+    monkeypatch.setattr(oc.optimize, "linprog", without_marginals)
+    with pytest.raises(oc.SolverError, match="marginals"):
+        solve_lp()
 
 
 def test_edge_lp_single_link():
@@ -116,16 +132,13 @@ def test_edge_lp_rejects_bad_rates():
 
 
 def test_decompose_trivial_cases():
-    inst = line_instance(1)
-    space = oc.build_state_space(inst)
     one_edge = oc.EdgeFractions(fractions={(0, 1): 1.0})
-    sched = oc.decompose_edge_fractions(one_edge, space)
-    key = space.pattern_index[oc.AlignmentPattern(((0, 1),))]
-    assert math.isclose(sched.weights[key], 1.0, abs_tol=1e-9)
+    sched = oc.decompose_edge_fractions(one_edge)
+    assert sched.weights.keys() == {oc.AlignmentPattern(((0, 1),))}
+    assert math.isclose(sched.weights[oc.AlignmentPattern(((0, 1),))], 1.0, abs_tol=1e-9)
 
-    empty = oc.EdgeFractions(fractions={})
-    sched = oc.decompose_edge_fractions(empty, space)
-    assert sched.weights == {space.empty_pattern_index: 1.0}
+    sched = oc.decompose_edge_fractions(oc.EdgeFractions(fractions={}))
+    assert sched.weights == {oc.EMPTY_PATTERN: 1.0}
 
 
 def test_decompose_diamond_half_fractions():
@@ -133,26 +146,21 @@ def test_decompose_diamond_half_fractions():
     # at weight 1/2 (which pair is returned is an implementation choice;
     # both the perfect-matching and the path-matching splits are valid).
     inst = diamond_instance()
-    space = oc.build_state_space(inst)
     x = oc.EdgeFractions(fractions={e: 0.5 for e in inst.links()})
-    sched = oc.decompose_edge_fractions(x, space)
+    sched = oc.decompose_edge_fractions(x)
     assert len(sched.weights) == 2
     per_edge = {e: 0.0 for e in inst.links()}
-    for k, w in sched.weights.items():
+    for pattern, w in sched.weights.items():
         assert math.isclose(w, 0.5, abs_tol=1e-9)
-        assert len(space.patterns[k].pairs) == 2
-        for pair in space.patterns[k].pairs:
+        assert len(pattern.pairs) == 2
+        for pair in pattern.pairs:
             per_edge[pair] += w
     assert all(math.isclose(v, 0.5, abs_tol=1e-9) for v in per_edge.values())
 
 
 def test_decompose_rejects_budget_violation():
-    inst = diamond_instance()
-    space = oc.build_state_space(inst)
     with pytest.raises(ValueError):
-        oc.decompose_edge_fractions(
-            oc.EdgeFractions(fractions={(0, 1): 0.8, (0, 2): 0.8}), space
-        )
+        oc.decompose_edge_fractions(oc.EdgeFractions(fractions={(0, 1): 0.8, (0, 2): 0.8}))
 
 
 def _edge_loads(x):
@@ -176,16 +184,20 @@ def test_decompose_reproduces_random_fractions(seed):
     worst = max(list(tx.values()) + list(rx.values()))
     x = {e: w / max(worst, 1.0) for e, w in raw.items()}
 
-    space = oc.build_state_space(inst)
-    sched = oc.decompose_edge_fractions(oc.EdgeFractions(fractions=x), space)
+    sched = oc.decompose_edge_fractions(oc.EdgeFractions(fractions=x))
 
     assert sched.total() <= 1 + 1e-9
     assert all(w > 0 for w in sched.weights.values())
     assert len(sched.weights) <= len(links) + inst.num_relays + 2 + 1
+    # pattern keys over the instance's links, in canonical pattern order
+    assert all(isinstance(p, oc.AlignmentPattern) for p in sched.weights)
+    assert {pair for p in sched.weights for pair in p.pairs} <= set(links)
+    canonical = oc.build_state_space(inst).patterns
+    assert list(sched.weights) == [p for p in canonical if p in sched.weights]
 
     per_edge = {e: 0.0 for e in links}
-    for k, w in sched.weights.items():
-        for pair in space.patterns[k].pairs:
+    for pattern, w in sched.weights.items():
+        for pair in pattern.pairs:
             per_edge[pair] += w
     for e in links:
         assert math.isclose(per_edge[e], x[e], abs_tol=1e-9)
@@ -194,8 +206,6 @@ def test_decompose_reproduces_random_fractions(seed):
 def test_decompose_saturated_budgets():
     # every node budget exactly tight: the line with x = 1 everywhere
     inst = line_instance(3)
-    space = oc.build_state_space(inst)
     x = {e: 1.0 for e in inst.links()}
-    sched = oc.decompose_edge_fractions(oc.EdgeFractions(fractions=x), space)
-    full = space.pattern_index[oc.AlignmentPattern(tuple(inst.links()))]
-    assert sched.weights == {full: 1.0}
+    sched = oc.decompose_edge_fractions(oc.EdgeFractions(fractions=x))
+    assert sched.weights == {oc.AlignmentPattern(tuple(inst.links())): 1.0}
