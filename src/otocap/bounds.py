@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import capacity_ideal, capacity_imperfect, link_rates, rate_tsn
-from .enumeration import EnumerationCaps, StateSpace, build_state_space
+from .enumeration import StateSpace, build_state_space
 from .matrices import CutBlockTables, cut_block_tables
 from .model import AlignmentPattern, Cut, NetworkInstance, max_degree
 
@@ -157,16 +157,14 @@ def check_assumptions(
     """
     space = space or build_state_space(inst)
     violations = []
-    for j in range(1, inst.destination + 1):
-        senders = [i for i in range(inst.num_relays + 1) if inst.has_link(i, j)]
-        for i in senders:
-            for k in senders:
-                if k == i:
-                    continue
-                if inst.alpha * abs(inst.channel[j, i]) < inst.beta * abs(
-                    inst.channel[j, k]
-                ):
-                    violations.append((i, j, k))
+    for j, row in enumerate(inst.link_mask()):
+        mags = {i: abs(inst.channel[j, i]) for i in np.flatnonzero(row).tolist()}
+        violations += [
+            (i, j, k)
+            for i in mags
+            for k in mags
+            if k != i and inst.alpha * mags[i] < inst.beta * mags[k]
+        ]
     max_rho, worst = _dominance_sweep(inst, space, blocks)
     return AssumptionReport(
         main_lobe_stronger=not violations,
@@ -275,9 +273,7 @@ def tsn_gap_bound(inst: NetworkInstance) -> float:
     return inst.num_relays * math.log2(delta) + inst.num_relays * worst_leak
 
 
-def verify_instance(
-    inst: NetworkInstance, caps: EnumerationCaps | None = None
-) -> GapReport:
+def verify_instance(inst: NetworkInstance) -> GapReport:
     """Compute all capacities, gaps and bounds and enforce the bounds.
 
     Raises TheoremViolationError the moment a bound that should hold is
@@ -287,7 +283,7 @@ def verify_instance(
     count but enforced only when it is actually a theorem (see
     ``_enforce`` for the single-relay carve-out).
     """
-    space = build_state_space(inst, caps)
+    space = build_state_space(inst)
     delta = max_degree(inst)
     n = inst.num_relays
 

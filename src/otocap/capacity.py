@@ -31,10 +31,6 @@ from .optimize import MaxMinProblem, Schedule, solve_maxmin
 __all__ = [
     "LinkRates",
     "CapacityResult",
-    "UndefinedLinkError",
-    "link_rate_ideal",
-    "link_rate_tsn",
-    "link_rate_leakage",
     "link_rates",
     "imperfect_value_table",
     "linear_value_table",
@@ -42,10 +38,6 @@ __all__ = [
     "capacity_ideal",
     "rate_tsn",
 ]
-
-
-class UndefinedLinkError(ValueError):
-    """A point-to-point rate was requested for a zero link."""
 
 
 @dataclass(frozen=True)
@@ -62,54 +54,25 @@ class LinkRates:
     leakage: dict[tuple[int, int], float]
 
 
-def _require_link(inst: NetworkInstance, i: int, j: int) -> None:
-    if not inst.has_link(i, j):
-        raise UndefinedLinkError(f"no nonzero link ({i}, {j}) in this instance")
-
-
-def _interference_gains(inst: NetworkInstance, i: int, j: int) -> list[float]:
-    """Squared magnitudes |h_jm|^2 for side-lobe interferers m into j.
-
-    Interferers are all transmit-capable nodes other than the aligned
-    transmitter i and the receiver j itself.
-    """
-    return [
-        float(abs(inst.channel[j, m]) ** 2)
-        for m in range(inst.num_relays + 1)
-        if m != i and m != j
-    ]
-
-
-def link_rate_ideal(inst: NetworkInstance, i: int, j: int) -> float:
-    """Interference-free aligned-link rate log2(1 + P a^2 |h_ji|^2)."""
-    _require_link(inst, i, j)
-    gain = abs(inst.channel[j, i]) ** 2
-    return float(np.log2(1.0 + inst.power * inst.alpha**2 * gain))
-
-
-def link_rate_tsn(inst: NetworkInstance, i: int, j: int) -> float:
-    """Aligned-link rate with all side-lobe leakage treated as noise."""
-    _require_link(inst, i, j)
-    gain = abs(inst.channel[j, i]) ** 2
-    noise = 1.0 + inst.power * inst.beta**2 * sum(_interference_gains(inst, i, j))
-    return float(np.log2(1.0 + inst.power * inst.alpha**2 * gain / noise))
-
-
-def link_rate_leakage(inst: NetworkInstance, i: int, j: int) -> float:
-    """Rate of the single strongest side-lobe interferer into j."""
-    _require_link(inst, i, j)
-    gains = _interference_gains(inst, i, j)
-    worst = max(gains, default=0.0)
-    return float(np.log2(1.0 + inst.power * inst.beta**2 * worst))
-
-
 def link_rates(inst: NetworkInstance) -> LinkRates:
-    """All three per-link rate maps over the nonzero links."""
+    """All three per-link rate maps over the nonzero links.
+
+    Link i -> j has aligned signal P a^2 |h_ji|^2.  Its side-lobe
+    interferers are every transmitter other than i and j, each at gain
+    P b^2 |h_jm|^2.  ``ideal`` is log2(1 + signal), ``tsn`` treats the
+    interferers' summed gain as noise, and ``leakage`` is the rate of
+    the strongest interferer alone.
+    """
+    h, n = inst.channel, inst.num_relays
     ideal, tsn, leakage = {}, {}, {}
     for i, j in inst.links():
-        ideal[(i, j)] = link_rate_ideal(inst, i, j)
-        tsn[(i, j)] = link_rate_tsn(inst, i, j)
-        leakage[(i, j)] = link_rate_leakage(inst, i, j)
+        interferers = [float(abs(h[j, m]) ** 2) for m in range(n + 1) if m != i and m != j]
+        signal = inst.power * inst.alpha**2 * abs(h[j, i]) ** 2
+        noise = 1.0 + inst.power * inst.beta**2 * sum(interferers)
+        worst = inst.power * inst.beta**2 * max(interferers, default=0.0)
+        ideal[(i, j)] = float(np.log2(1.0 + signal))
+        tsn[(i, j)] = float(np.log2(1.0 + signal / noise))
+        leakage[(i, j)] = float(np.log2(1.0 + worst))
     return LinkRates(ideal=ideal, tsn=tsn, leakage=leakage)
 
 

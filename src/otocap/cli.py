@@ -129,14 +129,14 @@ def instance_from_doc(doc: dict) -> NetworkInstance:
             fields = [entry_[key] for key in ("from", "to", "re", "im")]
             if any(isinstance(v, bool) for v in fields):
                 raise TypeError("booleans are not numbers here")
-            i, j = int(fields[0]), int(fields[1])
+            i, j = fields[0], fields[1]
+            if not (isinstance(i, int) and isinstance(j, int)):
+                raise TypeError("node ids must be integers")
             gain = complex(float(fields[2]), float(fields[3]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceFormatError(f"malformed link entry {entry_!r}") from exc
         if (i, j) in links:
             raise InstanceFormatError(f"duplicate link ({i}, {j})")
-        if not (0 <= i <= n and 1 <= j <= n + 1 and i != j):
-            raise InstanceFormatError(f"link ({i}, {j}) outside valid index ranges")
         links[(i, j)] = gain
     try:
         inst = NetworkInstance.from_links(

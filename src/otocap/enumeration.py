@@ -74,15 +74,13 @@ def default_caps() -> EnumerationCaps:
     return EnumerationCaps(max_pattern_relays=limit, max_cut_relays=limit)
 
 
-def enumerate_cuts(
-    inst: NetworkInstance, caps: EnumerationCaps | None = None
-) -> list[Cut]:
+def enumerate_cuts(inst: NetworkInstance) -> list[Cut]:
     """All 2^N source-side cuts, in bitmask-ascending relay membership.
 
     Bit r-1 of the mask decides whether relay r sits on the source side,
     so the first cut is {0} and the last is {0, 1, .., N}.
     """
-    caps = caps or default_caps()
+    caps = default_caps()
     n = inst.num_relays
     if n > caps.max_cut_relays:
         raise EnumerationCapError(
@@ -96,16 +94,14 @@ def enumerate_cuts(
     return cuts
 
 
-def enumerate_alignment_patterns(
-    inst: NetworkInstance, caps: EnumerationCaps | None = None
-) -> list[AlignmentPattern]:
+def enumerate_alignment_patterns(inst: NetworkInstance) -> list[AlignmentPattern]:
     """All partial matchings over the nonzero links, empty pattern first.
 
     Patterns are returned sorted by their transmitter-sorted pair lists,
     which makes the order reproducible and puts the empty pattern at
     index 0.
     """
-    caps = caps or default_caps()
+    caps = default_caps()
     n = inst.num_relays
     if n > caps.max_pattern_relays:
         raise EnumerationCapError(
@@ -238,12 +234,9 @@ class StateSpace:
         return crossing
 
 
-def build_state_space(
-    inst: NetworkInstance, caps: EnumerationCaps | None = None
-) -> StateSpace:
-    caps = caps or default_caps()
+def build_state_space(inst: NetworkInstance) -> StateSpace:
     return StateSpace(
-        patterns=tuple(enumerate_alignment_patterns(inst, caps)),
-        cuts=tuple(enumerate_cuts(inst, caps)),
+        patterns=tuple(enumerate_alignment_patterns(inst)),
+        cuts=tuple(enumerate_cuts(inst)),
         links=tuple(inst.links()),
     )

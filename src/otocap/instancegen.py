@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import NetworkInstance, validate_instance
+from .model import MAX_RELAYS, NetworkInstance, admissible_links, validate_instance
 
 __all__ = [
     "GenSpec",
@@ -63,12 +63,7 @@ def friis_amplitude(distance_m: float, frequency_ghz: float) -> float:
 
 def _full_links(n: int) -> list[tuple[int, int]]:
     """All admissible directed links, receiver-major canonical order."""
-    return [
-        (i, j)
-        for j in range(1, n + 2)
-        for i in range(n + 1)
-        if i != j
-    ]
+    return [(i, j) for j, i in np.argwhere(admissible_links(n)).tolist()]
 
 
 def _topology_links(spec: GenSpec, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -121,8 +116,8 @@ def generate(spec: GenSpec) -> NetworkInstance:
         raise ValueError(f"unknown topology {spec.topology!r}")
     if spec.channel not in CHANNELS:
         raise ValueError(f"unknown channel model {spec.channel!r}")
-    if spec.relays < 0:
-        raise ValueError("relays must be >= 0")
+    if not 0 <= spec.relays <= MAX_RELAYS:
+        raise ValueError(f"relays must be in [0, {MAX_RELAYS}], got {spec.relays}")
     if not 0.0 <= spec.edge_probability <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     if spec.scale <= 0:

@@ -11,7 +11,9 @@ The channel matrix is stored as a dense complex array indexed by node id
 as ``channel[j, i]`` = coefficient of the link i -> j.  Only the block
 with receivers in [1 : N+1] and transmitters in [0 : N] is meaningful;
 everything outside it is identically zero (the source never receives,
-the destination never transmits, relays have no self-channel).
+the destination never transmits, no node has a self-channel).
+``admissible_links`` is that block as a mask; links, degrees and
+validation read it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "MAX_RELAYS",
     "NetworkInstance",
     "NodeState",
     "AlignmentPattern",
@@ -30,9 +33,27 @@ __all__ = [
     "InvalidPatternError",
     "validate_instance",
     "validate_pattern",
+    "admissible_links",
     "max_degree",
     "effective_channel",
 ]
+
+
+# Largest relay count an instance may have, checked before the dense
+# (N+2) x (N+2) complex channel (16 MB at this limit) is allocated.
+MAX_RELAYS = 1000
+
+
+def admissible_links(num_relays: int) -> np.ndarray:
+    """Boolean [j, i] mask of the links i -> j the 1-2-1 model admits.
+
+    Transmitters are [0 : N], receivers [1 : N+1], and no node links to
+    itself.
+    """
+    mask = ~np.eye(num_relays + 2, dtype=bool)
+    mask[0, :] = False  # the source never receives
+    mask[:, -1] = False  # the destination never transmits
+    return mask
 
 
 class InvalidPatternError(ValueError):
@@ -177,24 +198,13 @@ class NetworkInstance:
             and self.channel[j, i] != 0
         )
 
+    def link_mask(self) -> np.ndarray:
+        """Boolean [j, i] mask of the nonzero admissible links i -> j."""
+        return admissible_links(self.num_relays) & (self.channel != 0)
+
     def links(self) -> list[tuple[int, int]]:
         """All nonzero directed links (i, j), receiver-major order."""
-        out = []
-        for j in range(1, self.destination + 1):
-            for i in range(self.num_relays + 1):
-                if i != j and self.channel[j, i] != 0:
-                    out.append((i, j))
-        return out
-
-    def neighbors(self, v: int) -> set[int]:
-        """Nodes adjacent to v through a nonzero link in either direction."""
-        out = set()
-        for u in range(self.n_nodes):
-            if u == v:
-                continue
-            if self.has_link(v, u) or self.has_link(u, v):
-                out.add(u)
-        return out
+        return [(i, j) for j, i in np.argwhere(self.link_mask()).tolist()]
 
     @classmethod
     def from_links(
@@ -208,6 +218,8 @@ class NetworkInstance:
     ) -> "NetworkInstance":
         """Build an instance from a sparse {(i, j): h_ji} link map."""
         n = num_relays
+        if not 0 <= n <= MAX_RELAYS:
+            raise ValueError(f"num_relays must be in [0, {MAX_RELAYS}], got {n}")
         h = np.zeros((n + 2, n + 2), dtype=np.complex128)
         for (i, j), gain in links.items():
             if not (0 <= i <= n and 1 <= j <= n + 1 and i != j):
@@ -248,18 +260,14 @@ def validate_instance(inst: NetworkInstance) -> ValidationReport:
     if inst.beta < 0 or not np.isfinite(inst.beta):
         report.violations.append(f"beta must be nonnegative, got {inst.beta}")
 
-    for i in range(1, n + 1):
-        if h[i, i] != 0:
-            report.violations.append(f"self-channel at node {i}")
-    for j in range(inst.n_nodes):
-        for i in range(inst.n_nodes):
-            if i == j:
-                continue
-            valid_block = 1 <= j <= n + 1 and 0 <= i <= n
-            if not valid_block and h[j, i] != 0:
-                report.violations.append(
-                    f"coefficient outside receiver/transmitter range at ({j}, {i})"
-                )
+    misplaced = (h != 0) & ~admissible_links(n)
+    for v in np.flatnonzero(np.diag(misplaced)).tolist():
+        report.violations.append(f"self-channel at node {v}")
+    np.fill_diagonal(misplaced, False)
+    for j, i in np.argwhere(misplaced).tolist():
+        report.violations.append(
+            f"coefficient outside receiver/transmitter range at ({j}, {i})"
+        )
 
     if not _destination_reachable(inst):
         report.warnings.append("destination unreachable from source")
@@ -267,14 +275,15 @@ def validate_instance(inst: NetworkInstance) -> ValidationReport:
 
 
 def _destination_reachable(inst: NetworkInstance) -> bool:
+    links_from = inst.link_mask().T.tolist()
     seen = {0}
     frontier = deque([0])
     while frontier:
         u = frontier.popleft()
         if u == inst.destination:
             return True
-        for v in range(1, inst.destination + 1):
-            if v not in seen and inst.has_link(u, v):
+        for v, linked in enumerate(links_from[u]):
+            if linked and v not in seen:
                 seen.add(v)
                 frontier.append(v)
     return False
@@ -286,7 +295,8 @@ def max_degree(inst: NetworkInstance) -> int:
     Counts distinct neighbors in either direction, so a node with links
     both to and from the same peer counts that peer once.
     """
-    return max((len(inst.neighbors(v)) for v in range(inst.n_nodes)), default=0)
+    links = inst.link_mask()
+    return int((links | links.T).sum(axis=0).max())
 
 
 def validate_pattern(inst: NetworkInstance, pattern: AlignmentPattern) -> None:

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import otocap as oc
 import otocap.capacity
 from otocap.cli import main, save_instance
@@ -93,23 +95,42 @@ def test_traced_run_reports_every_layer(tmp_path):
         assert rec.summarize([item])["cli.build_state_space.calls"] == 1
 
 
-def test_traced_run_yields_every_declared_per_layer_metric(tmp_path):
-    """A traced generate, verify and capacity command report every
-    per-layer name BENCHMARK.json declares, sized metrics included."""
+# Each workload's items, as bench/workloads.py runs them: verify_instance
+# alone (None), or the capacity commands of capacity_cli_full_n5 with one
+# model each.
+WORKLOAD_SHAPES = {
+    "verify_instance": [None],
+    "capacity_ideal_json_tsn_csv": [["--model", "ideal", "--format", "json"],
+                                    ["--model", "tsn", "--format", "csv"]],
+}
+
+
+@pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
+def test_traced_run_yields_every_declared_per_layer_metric(tmp_path, shape):
+    """A traced run of each workload shape after a traced generate reports
+    every per-layer name BENCHMARK.json declares, sized metrics included.
+
+    Metrics are summarised over the run's items alone, as bench/run.py
+    does, so a route that skips a sized function drops its names.
+    """
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert COMPUTED_BY_RUNNER <= declared
     lt = load_layertrace()
     rec = lt.Recorder()
     path = tmp_path / "inst.json"
+    items = WORKLOAD_SHAPES[shape]
     with lt.traced(rec, oc):
         rec.item = "setup"
         inst = oc.generate(oc.GenSpec(topology="full", relays=2, channel="rayleigh", beta=0.3))
         save_instance(inst, str(path))
-        rec.item = 0
-        oc.verify_instance(inst)
-        rec.item = 1
-        assert main(["capacity", str(path), "-o", str(tmp_path / "out.json")]) == 0
-    metrics = rec.summarize(["setup", 0, 1])
+        for item, flags in enumerate(items):
+            rec.item = item
+            if flags is None:
+                oc.verify_instance(inst)
+            else:
+                assert main(["capacity", str(path), *flags, "-o", str(tmp_path / "out")]) == 0
+    metrics = rec.summarize(range(len(items)))
+    metrics["instancegen.generate.ms"] = rec.summarize(["setup"])["instancegen.generate.ms"]
     assert sorted(declared - COMPUTED_BY_RUNNER - metrics.keys()) == []
 
 

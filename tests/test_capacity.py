@@ -27,54 +27,47 @@ def two_receiver_instance(g_main=1.0, g_interf=1.0, power=1.0, alpha=1.0, beta=1
 
 def test_link_rate_ideal_hand_values():
     inst = oc.NetworkInstance.from_links(0, {(0, 1): 1.0}, 1.0, 2.0, 0.0)
-    assert math.isclose(oc.link_rate_ideal(inst, 0, 1), math.log2(5), rel_tol=1e-12)
+    assert math.isclose(oc.link_rates(inst).ideal[(0, 1)], math.log2(5), rel_tol=1e-12)
     inst = oc.NetworkInstance.from_links(0, {(0, 1): 1.0}, 1.0, 1.0, 0.0)
-    assert math.isclose(oc.link_rate_ideal(inst, 0, 1), 1.0, rel_tol=1e-12)
+    assert math.isclose(oc.link_rates(inst).ideal[(0, 1)], 1.0, rel_tol=1e-12)
     tiny = dataclasses.replace(inst, alpha=1e-12)
-    assert oc.link_rate_ideal(tiny, 0, 1) < 1e-20
+    assert oc.link_rates(tiny).ideal[(0, 1)] < 1e-20
 
 
 def test_link_rate_tsn_hand_values():
-    quiet = two_receiver_instance(beta=0.0)
-    assert oc.link_rate_tsn(quiet, 0, 1) == oc.link_rate_ideal(quiet, 0, 1)
+    quiet = oc.link_rates(two_receiver_instance(beta=0.0))
+    assert quiet.tsn[(0, 1)] == quiet.ideal[(0, 1)]
 
-    noisy = two_receiver_instance()
-    assert math.isclose(oc.link_rate_tsn(noisy, 0, 1), math.log2(1.5), rel_tol=1e-12)
+    noisy = oc.link_rates(two_receiver_instance())
+    assert math.isclose(noisy.tsn[(0, 1)], math.log2(1.5), rel_tol=1e-12)
 
     # no third party transmits into node 3's other neighbors here
-    lone = line_instance(1, beta=0.9)
-    assert oc.link_rate_tsn(lone, 0, 1) == oc.link_rate_ideal(lone, 0, 1)
+    lone = oc.link_rates(line_instance(1, beta=0.9))
+    assert lone.tsn[(0, 1)] == lone.ideal[(0, 1)]
 
 
 def test_link_rate_leakage_hand_values():
-    assert oc.link_rate_leakage(two_receiver_instance(beta=0.0), 0, 1) == 0.0
-    assert math.isclose(oc.link_rate_leakage(two_receiver_instance(), 0, 1), 1.0)
+    assert oc.link_rates(two_receiver_instance(beta=0.0)).leakage[(0, 1)] == 0.0
+    assert math.isclose(oc.link_rates(two_receiver_instance()).leakage[(0, 1)], 1.0)
 
     two = oc.NetworkInstance.from_links(
         3,
         {(0, 1): 1.0, (2, 1): 1.0, (3, 1): 2.0, (1, 4): 1.0},
         1.0, 1.0, 1.0,
     )
-    assert math.isclose(oc.link_rate_leakage(two, 0, 1), math.log2(5), rel_tol=1e-12)
+    assert math.isclose(oc.link_rates(two).leakage[(0, 1)], math.log2(5), rel_tol=1e-12)
 
 
 def test_interferer_set_excludes_sender_and_receiver():
-    inst = two_receiver_instance(g_interf=3.0)
+    rates = oc.link_rates(two_receiver_instance(g_interf=3.0))
     # For 0 -> 1 the only interferer is node 2 (m ranges over senders
     # other than 0; node 1 cannot transmit to itself, node 3 is the
     # destination and never transmits).
     expect = math.log2(1 + 1.0 / (1 + 9.0))
-    assert math.isclose(oc.link_rate_tsn(inst, 0, 1), expect, rel_tol=1e-12)
+    assert math.isclose(rates.tsn[(0, 1)], expect, rel_tol=1e-12)
     # For 2 -> 1 the interferer is node 0.
     expect = math.log2(1 + 9.0 / (1 + 1.0))
-    assert math.isclose(oc.link_rate_tsn(inst, 2, 1), expect, rel_tol=1e-12)
-
-
-def test_link_rates_require_existing_link():
-    inst = line_instance(1)
-    for fn in (oc.link_rate_ideal, oc.link_rate_tsn, oc.link_rate_leakage):
-        with pytest.raises(oc.UndefinedLinkError):
-            fn(inst, 0, 2)
+    assert math.isclose(rates.tsn[(2, 1)], expect, rel_tol=1e-12)
 
 
 def test_link_rates_table_invariants():

@@ -97,6 +97,45 @@ def test_capacity_rejects_boolean_fields_exit_2(tmp_path, capsys, field):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("field", ["from", "to"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.9, 1e300, "1"],
+                         ids=["nan", "inf", "-inf", "0.9", "1e300", "string"])
+def test_capacity_rejects_non_integer_node_ids_exit_2(tmp_path, capsys, field, value):
+    # int() took these before: 0.9 loaded as node 0, "1" as node 1, and
+    # Infinity raised an uncaught OverflowError
+    doc = {"num_relays": 1, "power": 1.0, "alpha": 1.0, "beta": 0.0,
+           "links": [{"from": 0, "to": 1, "re": 1.0, "im": 0.0},
+                     {"from": 1, "to": 2, "re": 1.0, "im": 0.0}]}
+    doc["links"][0][field] = value
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps(doc))
+    assert main(["capacity", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: malformed link entry")
+
+
+@pytest.mark.parametrize("relays", [oc.MAX_RELAYS + 1, 10**9])
+def test_relay_count_over_limit_exit_2(tmp_path, capsys, relays):
+    # checked before the dense (N+2)^2 channel or the O(N^2) link lists
+    # of a generated topology are allocated
+    with pytest.raises(ValueError, match="must be in"):
+        oc.NetworkInstance.from_links(relays, {(0, 1): 1.0}, 1.0, 1.0, 0.0)
+    doc = {"num_relays": relays, "power": 1.0, "alpha": 1.0, "beta": 0.0,
+           "links": [{"from": 0, "to": 1, "re": 1.0, "im": 0.0}]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert main(["capacity", str(path)]) == 2
+    assert main(["gen", "--topology", "full", "--relays", str(relays)]) == 2
+    assert main(["verify", "--topology", "full", "--relays", str(relays)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count(f"must be in [0, {oc.MAX_RELAYS}], got {relays}\n") == 3
+    # the limit itself loads, and stops at the enumeration cap
+    path.write_text(json.dumps({**doc, "num_relays": oc.MAX_RELAYS}))
+    assert main(["capacity", str(path)]) == 3
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -124,10 +124,9 @@ def test_enumeration_caps_and_env_override(monkeypatch):
         oc.enumerate_cuts(huge)
 
     monkeypatch.setenv(oc.CAP_ENV_VAR, "9")
-    caps = oc.default_caps()
-    assert caps.max_pattern_relays == 9
-    assert len(oc.enumerate_alignment_patterns(big, caps)) > 0
-    assert len(oc.enumerate_cuts(huge, caps)) == 512
+    assert oc.default_caps().max_pattern_relays == 9
+    assert len(oc.enumerate_alignment_patterns(big)) > 0
+    assert len(oc.enumerate_cuts(huge)) == 512
 
     monkeypatch.setenv(oc.CAP_ENV_VAR, "not-a-number")
     with pytest.raises(oc.EnumerationCapError):

@@ -1,10 +1,18 @@
 """Instance construction, validation, degrees, and effective channels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import otocap as oc
-from conftest import diamond_instance, line_instance, permute_relays, random_instance
+from conftest import (
+    diamond_instance,
+    line_instance,
+    permute_relays,
+    random_instance,
+    state_space_instances,
+)
 
 
 def test_from_links_places_entries_receiver_row_transmitter_col():
@@ -46,7 +54,11 @@ def test_validate_flags_self_channel():
     inst = oc.NetworkInstance(1, channel, 1.0, 1.0, 0.0)
     report = oc.validate_instance(inst)
     assert not report.ok
-    assert "self-channel at node 1" in report.violations
+    assert report.violations == ["self-channel at node 1"]
+    # the source and the destination have no self-channel either
+    channel[0, 0] = channel[2, 2] = 0.5
+    report = oc.validate_instance(oc.NetworkInstance(1, channel, 1.0, 1.0, 0.0))
+    assert report.violations == [f"self-channel at node {v}" for v in range(3)]
 
 
 def test_validate_flags_out_of_range_coefficients():
@@ -83,6 +95,30 @@ def test_max_degree_hand_values():
     assert oc.max_degree(empty) == 0
     # full N=2: every node neighbours the other three
     assert oc.max_degree(random_instance(seed=1, relays=2, channel="unit")) == 3
+
+
+def test_link_rule_readers_match_set_definitions():
+    """links(), max_degree and validate_instance against the 1-2-1 link
+    rule written out as sets: transmitters [0 : N], receivers [1 : N+1],
+    no self-links."""
+    for inst in state_space_instances():
+        n = inst.num_relays
+        nodes = range(n + 2)
+        admissible = {(i, j) for i in range(n + 1) for j in range(1, n + 2) if i != j}
+        nonzero = {(i, j) for i, j in admissible if inst.channel[j, i] != 0}
+        assert inst.links() == sorted(nonzero, key=lambda e: (e[1], e[0]))
+
+        degrees = [len({u for u in nodes if (u, v) in nonzero or (v, u) in nonzero})
+                   for v in nodes]
+        assert oc.max_degree(inst) == max(degrees)
+
+        assert oc.validate_instance(inst).violations == []
+        filled = dataclasses.replace(inst, channel=np.ones((n + 2, n + 2)))
+        expected = [f"self-channel at node {v}" for v in nodes] + [
+            f"coefficient outside receiver/transmitter range at ({j}, {i})"
+            for j in nodes for i in nodes if i != j and (i, j) not in admissible
+        ]
+        assert sorted(oc.validate_instance(filled).violations) == sorted(expected)
 
 
 def test_effective_channel_line_example():
