@@ -121,8 +121,13 @@ def instance_from_doc(doc: dict) -> NetworkInstance:
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InstanceFormatError(f"num_relays must be a nonnegative integer, got {n!r}")
     for key in ("power", "alpha", "beta"):
-        if isinstance(doc[key], bool):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
             raise InstanceFormatError(f"{key} must be a number, got {doc[key]!r}")
+    if not isinstance(doc["links"], list):
+        raise InstanceFormatError(f"links must be a JSON array, got {doc['links']!r}")
+    metadata = doc.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise InstanceFormatError(f"metadata must be a JSON object, got {metadata!r}")
     links: dict[tuple[int, int], complex] = {}
     for entry_ in doc["links"]:
         try:
@@ -132,8 +137,10 @@ def instance_from_doc(doc: dict) -> NetworkInstance:
             i, j = fields[0], fields[1]
             if not (isinstance(i, int) and isinstance(j, int)):
                 raise TypeError("node ids must be integers")
+            if not all(isinstance(v, (int, float)) for v in fields[2:]):
+                raise TypeError("gains must be numbers")
             gain = complex(float(fields[2]), float(fields[3]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InstanceFormatError(f"malformed link entry {entry_!r}") from exc
         if (i, j) in links:
             raise InstanceFormatError(f"duplicate link ({i}, {j})")
@@ -145,9 +152,9 @@ def instance_from_doc(doc: dict) -> NetworkInstance:
             doc["power"],
             doc["alpha"],
             doc["beta"],
-            metadata=doc.get("metadata") or {},
+            metadata=metadata,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(str(exc)) from exc
     report = validate_instance(inst)
     if not report.ok:

@@ -1,16 +1,16 @@
-"""Enumeration of cuts, alignment patterns and raw beam states.
+"""Enumeration of cuts and alignment patterns: the state space.
 
 Alignment patterns are exactly the partial matchings of the bipartite
 graph (transmitters [0 : N]) x (receivers [1 : N+1]) restricted to
-nonzero links; pattern enumeration is the workhorse behind every LP in
-this package.  Raw-state enumeration is a deliberately dumb oracle over
-the full Cartesian product of per-node beam choices, kept around to
-cross-check the pattern route on tiny networks.
+nonzero links.  ``build_state_space`` enumerates them once, as the rows
+of a boolean pattern x link incidence matrix in canonical order, and
+every LP in this package has one column per row.
 
-``StateSpace`` also carries the instance's nonzero links and their two
-incidence matrices: which links a pattern aligns and which links cross
-a cut.  Every value table, LP row and cut block reads its crossing
-links from ``crossing_matrix``.
+``StateSpace`` carries that incidence with the instance's cuts, its
+nonzero links and the cut x link crossing matrix.  Every value table,
+LP row and cut block reads its aligned links from ``incidence`` and its
+crossing links from ``crossing_matrix``; ``StateSpace.patterns`` names a
+row as an ``AlignmentPattern`` only when it is indexed.
 
 Everything here is exponential in N, so enumeration is gated by caps.
 The environment variable ``OTO_CAP_MAX_RELAYS`` overrides both caps at
@@ -19,21 +19,15 @@ once for users who accept the blow-up.
 
 from __future__ import annotations
 
+import operator
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    AlignmentPattern,
-    Cut,
-    InvalidPatternError,
-    NetworkInstance,
-    NodeState,
-)
+from .model import AlignmentPattern, Cut, NetworkInstance
 
 __all__ = [
     "EnumerationCaps",
@@ -42,14 +36,10 @@ __all__ = [
     "crossing_matrix",
     "default_caps",
     "enumerate_cuts",
-    "enumerate_alignment_patterns",
-    "enumerate_raw_states",
-    "pattern_of_state",
     "build_state_space",
 ]
 
 CAP_ENV_VAR = "OTO_CAP_MAX_RELAYS"
-RAW_STATE_MAX_RELAYS = 2
 
 
 class EnumerationCapError(RuntimeError):
@@ -74,114 +64,26 @@ def default_caps() -> EnumerationCaps:
     return EnumerationCaps(max_pattern_relays=limit, max_cut_relays=limit)
 
 
+def _check_cap(what: str, cap: int, n: int) -> None:
+    if n > cap:
+        raise EnumerationCapError(
+            f"{what} enumeration capped at {cap} relays, got {n} (override with {CAP_ENV_VAR})"
+        )
+
+
 def enumerate_cuts(inst: NetworkInstance) -> list[Cut]:
     """All 2^N source-side cuts, in bitmask-ascending relay membership.
 
     Bit r-1 of the mask decides whether relay r sits on the source side,
     so the first cut is {0} and the last is {0, 1, .., N}.
     """
-    caps = default_caps()
     n = inst.num_relays
-    if n > caps.max_cut_relays:
-        raise EnumerationCapError(
-            f"cut enumeration capped at {caps.max_cut_relays} relays, got {n} "
-            f"(override with {CAP_ENV_VAR})"
-        )
+    _check_cap("cut", default_caps().max_cut_relays, n)
     cuts = []
     for mask in range(1 << n):
         omega = (0,) + tuple(r for r in range(1, n + 1) if mask >> (r - 1) & 1)
         cuts.append(Cut(omega, n))
     return cuts
-
-
-def enumerate_alignment_patterns(inst: NetworkInstance) -> list[AlignmentPattern]:
-    """All partial matchings over the nonzero links, empty pattern first.
-
-    Patterns are returned sorted by their transmitter-sorted pair lists,
-    which makes the order reproducible and puts the empty pattern at
-    index 0.
-    """
-    caps = default_caps()
-    n = inst.num_relays
-    if n > caps.max_pattern_relays:
-        raise EnumerationCapError(
-            f"pattern enumeration capped at {caps.max_pattern_relays} relays, got {n} "
-            f"(override with {CAP_ENV_VAR})"
-        )
-    # adjacency: receivers available to each transmitter
-    targets = {i: [] for i in range(n + 1)}
-    for i, j in inst.links():
-        targets[i].append(j)
-    for i in targets:
-        targets[i].sort()
-
-    found: list[tuple[tuple[int, int], ...]] = []
-
-    def extend(tx: int, used_rx: set[int], chosen: list[tuple[int, int]]):
-        if tx > n:
-            found.append(tuple(chosen))
-            return
-        extend(tx + 1, used_rx, chosen)  # leave this transmitter idle
-        for j in targets[tx]:
-            if j not in used_rx:
-                used_rx.add(j)
-                chosen.append((tx, j))
-                extend(tx + 1, used_rx, chosen)
-                chosen.pop()
-                used_rx.remove(j)
-
-    extend(0, set(), [])
-    found.sort()
-    return [AlignmentPattern(pairs) for pairs in found]
-
-
-def enumerate_raw_states(
-    inst: NetworkInstance, cap: int = RAW_STATE_MAX_RELAYS
-) -> list[NodeState]:
-    """Cartesian product of per-node beam choices (oracle scale only).
-
-    Beam targets are unrestricted to nonzero links: a node may point at
-    anything it is allowed to point at, useful or not.  This blows up as
-    roughly 12^N and is capped accordingly.
-    """
-    n = inst.num_relays
-    if n > cap:
-        raise EnumerationCapError(
-            f"raw-state enumeration is an oracle for <= {cap} relays, got {n}"
-        )
-    dest = inst.destination
-    tx_choices = []
-    rx_choices = []
-    for v in range(inst.n_nodes):
-        if v == dest:
-            tx_choices.append([None])
-        else:
-            tx_choices.append([None] + [j for j in range(1, dest + 1) if j != v])
-        if v == 0:
-            rx_choices.append([None])
-        else:
-            rx_choices.append([None] + [i for i in range(n + 1) if i != v])
-    states = []
-    for txs in product(*tx_choices):
-        for rxs in product(*rx_choices):
-            states.append(NodeState(tuple(txs), tuple(rxs)))
-    return states
-
-
-def pattern_of_state(state: NodeState, inst: NetworkInstance) -> AlignmentPattern:
-    """Collapse a raw state to the alignment pattern it realises.
-
-    A link i -> j makes it into the pattern only when both ends agree
-    (i transmits toward j, j listens to i) and the link is nonzero.
-    """
-    pairs = []
-    for i, target in enumerate(state.tx_target):
-        if target is None:
-            continue
-        j = target
-        if state.rx_source[j] == i and inst.has_link(i, j):
-            pairs.append((i, j))
-    return AlignmentPattern(tuple(pairs))
 
 
 def crossing_matrix(
@@ -196,35 +98,46 @@ def crossing_matrix(
     return source_side[:, tx] & ~source_side[:, rx]
 
 
-@dataclass(frozen=True)
+class _PatternView(Sequence):
+    """Read-only sequence of a state space's patterns, built on access.
+
+    Pattern k aligns the links of incidence row k.  Indices must be
+    integers: a slice raises TypeError.
+    """
+
+    def __init__(self, space: StateSpace):
+        self._space = space
+
+    def __len__(self) -> int:
+        return len(self._space.incidence)
+
+    def __getitem__(self, k) -> AlignmentPattern:
+        row = self._space.incidence[operator.index(k)]
+        return AlignmentPattern(tuple(self._space.links[c] for c in np.flatnonzero(row)))
+
+
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """Canonical pattern, cut and link universe for one instance.
 
     ``links`` are the instance's nonzero links in ``inst.links()`` order;
-    the columns of ``incidence`` and ``crossing`` follow it.
+    the columns of ``incidence`` and ``crossing`` follow it.  Row p of the
+    read-only boolean ``incidence`` marks the links pattern p aligns, and
+    ``patterns[p]`` is that row as an ``AlignmentPattern``.
     """
 
-    patterns: tuple[AlignmentPattern, ...]
+    incidence: np.ndarray
     cuts: tuple[Cut, ...]
     links: tuple[tuple[int, int], ...]
 
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Read-only boolean pattern x link matrix: pattern p aligns link l.
-
-        Raises InvalidPatternError when a pattern pairs two nodes that
-        share no nonzero link.
-        """
-        link_pos = {e: k for k, e in enumerate(self.links)}
-        pairs = [pair for pattern in self.patterns for pair in pattern]
-        cols = [link_pos.get(pair, -1) for pair in pairs]
-        if -1 in cols:
-            raise InvalidPatternError(f"pair {pairs[cols.index(-1)]} is not a nonzero link")
-        rows = np.repeat(np.arange(len(self.patterns)), [len(p) for p in self.patterns])
-        incidence = np.zeros((len(self.patterns), len(self.links)), dtype=bool)
-        incidence[rows, np.array(cols, dtype=np.intp)] = True
+    def __post_init__(self):
+        incidence = np.array(self.incidence, dtype=bool)
         incidence.flags.writeable = False
-        return incidence
+        object.__setattr__(self, "incidence", incidence)
+
+    @cached_property
+    def patterns(self) -> Sequence[AlignmentPattern]:
+        return _PatternView(self)
 
     @cached_property
     def crossing(self) -> np.ndarray:
@@ -234,9 +147,34 @@ class StateSpace:
         return crossing
 
 
+def _matching_incidence(n: int, links: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Boolean pattern x link matrix of every matching, in canonical order.
+
+    Canonical order sorts patterns by their transmitter-sorted pair
+    lists, empty pattern first.  Transmitters are added from N down to
+    0.  The rows over transmitters >= i are: the empty pattern; then, for
+    each of i's links (i, j) in ascending j, that link added to every
+    later row that leaves receiver j free; then the later non-empty
+    rows.  ``links`` are receiver-major, so i's come in ascending j.
+    """
+    tx, rx = np.array(links, dtype=np.intp).reshape(-1, 2).T
+    rows = np.zeros((1, len(links)), dtype=bool)
+    for i in range(n, -1, -1):
+        blocks = [rows[:1]]
+        for c in np.flatnonzero(tx == i):
+            block = rows[~rows[:, rx == rx[c]].any(axis=1)]
+            block[:, c] = True
+            blocks.append(block)
+        rows = np.concatenate(blocks + [rows[1:]])
+    return rows
+
+
 def build_state_space(inst: NetworkInstance) -> StateSpace:
+    """Every alignment pattern, cut and nonzero link of an instance, under the caps."""
+    _check_cap("pattern", default_caps().max_pattern_relays, inst.num_relays)
+    links = tuple(inst.links())
     return StateSpace(
-        patterns=tuple(enumerate_alignment_patterns(inst)),
+        incidence=_matching_incidence(inst.num_relays, links),
         cuts=tuple(enumerate_cuts(inst)),
-        links=tuple(inst.links()),
+        links=links,
     )

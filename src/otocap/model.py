@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "MAX_RELAYS",
     "NetworkInstance",
-    "NodeState",
     "AlignmentPattern",
     "Cut",
     "ValidationReport",
@@ -127,30 +126,6 @@ class Cut:
     def complement(self) -> tuple[int, ...]:
         inside = set(self.omega)
         return tuple(v for v in range(self.num_relays + 2) if v not in inside)
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """One joint beam configuration for every node.
-
-    ``tx_target[i]`` is the node that i points its transmit beam at
-    (None for no target), ``rx_source[i]`` the node that i listens to.
-    The destination never transmits and the source never receives.
-    Targets are unrestricted otherwise -- a node may point at a zero
-    link, which simply never aligns anything useful.
-    """
-
-    tx_target: tuple[int | None, ...]
-    rx_source: tuple[int | None, ...]
-
-    def __post_init__(self):
-        n_nodes = len(self.tx_target)
-        if len(self.rx_source) != n_nodes:
-            raise ValueError("tx_target and rx_source length mismatch")
-        if self.tx_target[n_nodes - 1] is not None:
-            raise ValueError("destination cannot transmit")
-        if self.rx_source[0] is not None:
-            raise ValueError("source cannot receive")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracle helpers deliberately avoid the library's own computation
-paths (recursive pattern search, batched cut-block kernel, value-table
-assembly) so that agreement between the two routes is evidence, not
-tautology.
+paths (the pattern x link incidence enumeration, batched cut-block
+kernel, value-table assembly) so that agreement between the two routes
+is evidence, not tautology.  The raw-state oracle enumerates every
+joint beam configuration and is used by tests only.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +75,80 @@ def brute_force_patterns(links):
     return found
 
 
+RAW_STATE_MAX_RELAYS = 2
+
+
+@dataclass(frozen=True)
+class NodeState:
+    """One joint beam configuration for every node.
+
+    ``tx_target[i]`` is the node that i points its transmit beam at
+    (None for no target), ``rx_source[i]`` the node that i listens to.
+    The destination never transmits and the source never receives.
+    Targets are unrestricted otherwise -- a node may point at a zero
+    link, which simply never aligns anything useful.
+    """
+
+    tx_target: tuple[int | None, ...]
+    rx_source: tuple[int | None, ...]
+
+    def __post_init__(self):
+        n_nodes = len(self.tx_target)
+        if len(self.rx_source) != n_nodes:
+            raise ValueError("tx_target and rx_source length mismatch")
+        if self.tx_target[n_nodes - 1] is not None:
+            raise ValueError("destination cannot transmit")
+        if self.rx_source[0] is not None:
+            raise ValueError("source cannot receive")
+
+
+def enumerate_raw_states(inst, cap=RAW_STATE_MAX_RELAYS):
+    """Cartesian product of per-node beam choices (oracle scale only).
+
+    Beam targets are unrestricted to nonzero links: a node may point at
+    anything it is allowed to point at, useful or not.  This blows up as
+    roughly 12^N and is capped accordingly.
+    """
+    n = inst.num_relays
+    if n > cap:
+        raise oc.EnumerationCapError(
+            f"raw-state enumeration is an oracle for <= {cap} relays, got {n}"
+        )
+    dest = inst.destination
+    tx_choices = []
+    rx_choices = []
+    for v in range(inst.n_nodes):
+        if v == dest:
+            tx_choices.append([None])
+        else:
+            tx_choices.append([None] + [j for j in range(1, dest + 1) if j != v])
+        if v == 0:
+            rx_choices.append([None])
+        else:
+            rx_choices.append([None] + [i for i in range(n + 1) if i != v])
+    states = []
+    for txs in itertools.product(*tx_choices):
+        for rxs in itertools.product(*rx_choices):
+            states.append(NodeState(tuple(txs), tuple(rxs)))
+    return states
+
+
+def pattern_of_state(state, inst):
+    """Collapse a raw state to the alignment pattern it realises.
+
+    A link i -> j makes it into the pattern only when both ends agree
+    (i transmits toward j, j listens to i) and the link is nonzero.
+    """
+    pairs = []
+    for i, target in enumerate(state.tx_target):
+        if target is None:
+            continue
+        j = target
+        if state.rx_source[j] == i and inst.has_link(i, j):
+            pairs.append((i, j))
+    return oc.AlignmentPattern(tuple(pairs))
+
+
 def state_effective_channel(inst, state):
     """Effective channel computed directly from beam orientations:
     every entry leaks at beta, then mutually pointing pairs get alpha."""
@@ -100,7 +176,7 @@ def raw_state_capacities(inst):
     goes through slogdet, so this path shares no matrix code with the
     library.
     """
-    states = oc.enumerate_raw_states(inst)
+    states = enumerate_raw_states(inst)
     cuts = oc.enumerate_cuts(inst)
     n = inst.num_relays
 

@@ -3,8 +3,9 @@
 The traced benchmark run wraps otocap functions by name and reads a few
 attributes off their arguments and results; a renamed or removed
 function silently drops its per-layer metrics.  ``bench/layertrace.py``
-is read by path here and never edited.  A second guard keeps
-``import otocap`` lean, since its time is part of every run's set-up.
+and ``bench/workloads.py`` are read by path here and never edited.  A
+second guard keeps ``import otocap`` lean, since its time is part of
+every run's set-up.
 """
 
 import importlib.util
@@ -21,21 +22,22 @@ import otocap.capacity
 from otocap.cli import main, save_instance
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERTRACE = ROOT / "bench" / "layertrace.py"
 # per-layer metrics that bench/run.py computes itself, not from the spans
 COMPUTED_BY_RUNNER = {"matrices.unique_block_ratio", "cli.output_bytes",
                       "trace.overhead_frac", "trace.coverage"}
 
 
-def load_layertrace():
-    spec = importlib.util.spec_from_file_location("layertrace_under_test", LAYERTRACE)
+def load_bench(name):
+    path = ROOT / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_under_test", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves_to_a_callable():
-    lt = load_layertrace()
+    lt = load_bench("layertrace")
     names = [(layer, fn) for kinds in (lt.SPANNED, lt.COUNTED)
              for layer, fns in kinds.items() for fn in fns]
     assert names
@@ -61,8 +63,16 @@ def test_sized_results_keep_their_attributes(monkeypatch):
         assert problem.values.shape == (len(space.cuts), len(space.patterns))
 
 
+def test_workload_block_count_matches_the_kernel():
+    # the size cache iterates space.patterns, which builds patterns on access
+    workloads = load_bench("workloads")
+    inst = oc.generate(oc.GenSpec(topology="full", relays=3, channel="rayleigh", beta=0.3))
+    space = oc.build_state_space(inst)
+    assert workloads.distinct_blocks(space) == oc.cut_block_tables(inst, space).distinct_blocks
+
+
 def test_traced_run_reports_every_layer(tmp_path):
-    lt = load_layertrace()
+    lt = load_bench("layertrace")
     inst = oc.generate(oc.GenSpec(topology="full", relays=2, channel="rayleigh", beta=0.3))
     path = tmp_path / "inst.json"
     save_instance(inst, str(path))
@@ -115,7 +125,7 @@ def test_traced_run_yields_every_declared_per_layer_metric(tmp_path, shape):
     """
     declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert COMPUTED_BY_RUNNER <= declared
-    lt = load_layertrace()
+    lt = load_bench("layertrace")
     rec = lt.Recorder()
     path = tmp_path / "inst.json"
     items = WORKLOAD_SHAPES[shape]

@@ -115,6 +115,46 @@ def test_capacity_rejects_non_integer_node_ids_exit_2(tmp_path, capsys, field, v
     assert err.startswith("error: malformed link entry")
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("links", 5, "links must be a JSON array"),
+    ("links", None, "links must be a JSON array"),
+    ("links", "ab", "links must be a JSON array"),
+    ("links", {"from": 0, "to": 1}, "links must be a JSON array"),
+    ("power", "1", "power must be a number"),
+    ("alpha", "1", "alpha must be a number"),
+    ("beta", "0.5", "beta must be a number"),
+    ("beta", None, "beta must be a number"),
+    ("power", [1.0], "power must be a number"),
+    ("power", 10**400, "int too large to convert to float"),
+    ("re", 10**400, "malformed link entry"),
+    ("re", "1", "malformed link entry"),
+    ("im", "0", "malformed link entry"),
+    ("metadata", [1], "metadata must be a JSON object"),
+    ("metadata", 3, "metadata must be a JSON object"),
+    ("metadata", "note", "metadata must be a JSON object"),
+], ids=["links-number", "links-null", "links-string", "links-object",
+        "power-string", "alpha-string", "beta-string", "beta-null", "power-array",
+        "power-huge-int", "re-huge-int", "re-string", "im-string",
+        "metadata-array", "metadata-number", "metadata-string"])
+def test_capacity_rejects_mistyped_fields_exit_2(tmp_path, capsys, field, value, message):
+    # links 5 or null raised an uncaught TypeError and "ab" was iterated
+    # by character; string scalars and gains and non-object metadata
+    # loaded; huge integers raised an uncaught OverflowError
+    doc = {"num_relays": 1, "power": 1.0, "alpha": 1.0, "beta": 0.0, "metadata": None,
+           "links": [{"from": 0, "to": 1, "re": 1.0, "im": 0.0}]}
+    assert instance_from_doc(doc).metadata == {}
+    if field in ("re", "im"):
+        doc["links"][0][field] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["capacity", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("relays", [oc.MAX_RELAYS + 1, 10**9])
 def test_relay_count_over_limit_exit_2(tmp_path, capsys, relays):
     # checked before the dense (N+2)^2 channel or the O(N^2) link lists

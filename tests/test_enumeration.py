@@ -5,9 +5,12 @@ import pytest
 
 import otocap as oc
 from conftest import (
+    NodeState,
     brute_force_patterns,
     diamond_instance,
+    enumerate_raw_states,
     line_instance,
+    pattern_of_state,
     random_instance,
     state_space_instances,
 )
@@ -15,6 +18,10 @@ from conftest import (
 
 def omegas(cuts):
     return [set(c.omega) for c in cuts]
+
+
+def patterns_of(inst):
+    return list(oc.build_state_space(inst).patterns)
 
 
 def test_cut_counts_and_order():
@@ -27,12 +34,12 @@ def test_cut_counts_and_order():
 
 def test_pattern_list_single_link():
     inst = oc.NetworkInstance.from_links(0, {(0, 1): 1.0}, 1.0, 1.0, 0.0)
-    patterns = oc.enumerate_alignment_patterns(inst)
+    patterns = patterns_of(inst)
     assert [p.pairs for p in patterns] == [(), ((0, 1),)]
 
 
 def test_pattern_list_line_canonical_order():
-    patterns = oc.enumerate_alignment_patterns(line_instance(1))
+    patterns = patterns_of(line_instance(1))
     assert [p.pairs for p in patterns] == [
         (),
         ((0, 1),),
@@ -43,7 +50,7 @@ def test_pattern_list_line_canonical_order():
 
 def test_diamond_pattern_count_matches_brute_force():
     inst = diamond_instance()
-    patterns = oc.enumerate_alignment_patterns(inst)
+    patterns = patterns_of(inst)
     oracle = brute_force_patterns(inst.links())
     assert {frozenset(p.pairs) for p in patterns} == oracle
     # 1 empty + 4 singletons + 4 conflict-free pairs; the two-link sets
@@ -55,45 +62,45 @@ def test_diamond_pattern_count_matches_brute_force():
 def test_pattern_enumeration_matches_brute_force_random(seed, relays):
     inst = random_instance(seed=seed, relays=relays, topology="random",
                            edge_probability=0.7)
-    patterns = oc.enumerate_alignment_patterns(inst)
+    patterns = patterns_of(inst)
     assert {frozenset(p.pairs) for p in patterns} == brute_force_patterns(inst.links())
     assert len({p.pairs for p in patterns}) == len(patterns)
 
 
 def test_pattern_pairs_only_on_nonzero_links():
     inst = line_instance(2)
-    for p in oc.enumerate_alignment_patterns(inst):
+    for p in patterns_of(inst):
         for i, j in p.pairs:
             assert inst.channel[j, i] != 0
 
 
 def test_raw_state_count_single_link():
     inst = oc.NetworkInstance.from_links(0, {(0, 1): 1.0}, 1.0, 1.0, 0.0)
-    states = oc.enumerate_raw_states(inst)
+    states = enumerate_raw_states(inst)
     assert len(states) == 4
 
 
 def test_raw_state_count_is_link_independent():
     # Raw states range over all targets allowed by the node-state rules,
     # not just existing links: N=1 gives 3 * (2*2) * 3 assignments.
-    assert len(oc.enumerate_raw_states(line_instance(1))) == 36
+    assert len(enumerate_raw_states(line_instance(1))) == 36
 
 
 def test_pattern_of_state_examples():
     inst = oc.NetworkInstance.from_links(0, {(0, 1): 1.0}, 1.0, 1.0, 0.0)
-    aligned = oc.NodeState(tx_target=(1, None), rx_source=(None, 0))
-    assert oc.pattern_of_state(aligned, inst).pairs == ((0, 1),)
-    half = oc.NodeState(tx_target=(1, None), rx_source=(None, None))
-    assert oc.pattern_of_state(half, inst) == oc.EMPTY_PATTERN
+    aligned = NodeState(tx_target=(1, None), rx_source=(None, 0))
+    assert pattern_of_state(aligned, inst).pairs == ((0, 1),)
+    half = NodeState(tx_target=(1, None), rx_source=(None, None))
+    assert pattern_of_state(half, inst) == oc.EMPTY_PATTERN
 
     line = line_instance(1)
-    idle = oc.NodeState(tx_target=(None,) * 3, rx_source=(None,) * 3)
-    assert oc.pattern_of_state(idle, line) == oc.EMPTY_PATTERN
-    full = oc.NodeState(tx_target=(1, 2, None), rx_source=(None, 0, 1))
-    assert oc.pattern_of_state(full, line).pairs == ((0, 1), (1, 2))
+    idle = NodeState(tx_target=(None,) * 3, rx_source=(None,) * 3)
+    assert pattern_of_state(idle, line) == oc.EMPTY_PATTERN
+    full = NodeState(tx_target=(1, 2, None), rx_source=(None, 0, 1))
+    assert pattern_of_state(full, line).pairs == ((0, 1), (1, 2))
     # both ends agree on the source->destination pair, but that link is zero
-    over_zero = oc.NodeState(tx_target=(2, None, None), rx_source=(None, None, 0))
-    assert oc.pattern_of_state(over_zero, line) == oc.EMPTY_PATTERN
+    over_zero = NodeState(tx_target=(2, None, None), rx_source=(None, None, 0))
+    assert pattern_of_state(over_zero, line) == oc.EMPTY_PATTERN
 
 
 @pytest.mark.parametrize("build", [
@@ -103,20 +110,20 @@ def test_pattern_of_state_examples():
 ])
 def test_state_pattern_map_is_into_and_onto(build):
     inst = build()
-    patterns = set(oc.enumerate_alignment_patterns(inst))
-    images = {oc.pattern_of_state(s, inst) for s in oc.enumerate_raw_states(inst)}
+    patterns = set(patterns_of(inst))
+    images = {pattern_of_state(s, inst) for s in enumerate_raw_states(inst)}
     assert images == patterns
 
 
 def test_raw_state_cap():
     with pytest.raises(oc.EnumerationCapError):
-        oc.enumerate_raw_states(line_instance(3))
+        enumerate_raw_states(line_instance(3))
 
 
 def test_enumeration_caps_and_env_override(monkeypatch):
     big = line_instance(6)
     with pytest.raises(oc.EnumerationCapError) as err:
-        oc.enumerate_alignment_patterns(big)
+        oc.build_state_space(big)
     assert "5" in str(err.value)
 
     huge = line_instance(9)
@@ -125,7 +132,7 @@ def test_enumeration_caps_and_env_override(monkeypatch):
 
     monkeypatch.setenv(oc.CAP_ENV_VAR, "9")
     assert oc.default_caps().max_pattern_relays == 9
-    assert len(oc.enumerate_alignment_patterns(big)) > 0
+    assert len(patterns_of(big)) > 0
     assert len(oc.enumerate_cuts(huge)) == 512
 
     monkeypatch.setenv(oc.CAP_ENV_VAR, "not-a-number")
@@ -173,6 +180,40 @@ def test_crossing_matrix_of_no_links_and_of_edge_subsets():
 
 
 def test_enumeration_is_deterministic():
-    a = oc.enumerate_alignment_patterns(diamond_instance())
-    b = oc.enumerate_alignment_patterns(diamond_instance())
-    assert a == b
+    a = oc.build_state_space(diamond_instance())
+    b = oc.build_state_space(diamond_instance())
+    assert list(a.patterns) == list(b.patterns)
+    assert np.array_equal(a.incidence, b.incidence)
+
+
+def test_pattern_order_matches_sorted_brute_force():
+    checked = 0
+    for inst in state_space_instances():
+        if len(inst.links()) > 16:
+            continue
+        space = oc.build_state_space(inst)
+        want = sorted(tuple(sorted(m)) for m in brute_force_patterns(inst.links()))
+        assert [p.pairs for p in space.patterns] == want
+        checked += 1
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("relays,count", [(4, 888), (5, 7380)])
+def test_full_mesh_patterns_are_ascending_matchings(relays, count):
+    inst = random_instance(seed=0, relays=relays)
+    space = oc.build_state_space(inst)
+    pairs = [p.pairs for p in space.patterns]
+    assert len(pairs) == space.incidence.shape[0] == count
+    assert all(a < b for a, b in zip(pairs, pairs[1:]))
+    for row in space.incidence:
+        linked = [space.links[k] for k in np.flatnonzero(row)]
+        assert len({i for i, _ in linked}) == len({j for _, j in linked}) == len(linked)
+
+
+def test_pattern_view_takes_integer_indices_only():
+    space = oc.build_state_space(line_instance(1))
+    assert space.patterns[-1] == space.patterns[np.int64(3)] == oc.AlignmentPattern(((1, 2),))
+    with pytest.raises(TypeError):
+        space.patterns[0:2]
+    with pytest.raises(IndexError):
+        space.patterns[4]

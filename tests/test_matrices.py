@@ -282,14 +282,6 @@ def test_kernel_dedups_to_distinct_cut_restrictions():
     assert oc.cut_block_tables(inst, space).distinct_blocks == len(keys) == 384
 
 
-def test_kernel_rejects_pattern_on_zero_link():
-    inst = line_instance(2)
-    space = oc.StateSpace(patterns=(oc.AlignmentPattern(((0, 2),)),),
-                          cuts=tuple(oc.enumerate_cuts(inst)), links=tuple(inst.links()))
-    with pytest.raises(oc.InvalidPatternError):
-        oc.cut_block_tables(inst, space)
-
-
 def test_group_rows_groups_exactly_up_to_the_key_width():
     rng = np.random.Generator(np.random.Philox(5))
     for width in (0, 3, MAX_CROSSING_LINKS):
@@ -305,10 +297,11 @@ def test_group_rows_groups_exactly_up_to_the_key_width():
 
 def test_kernel_rejects_a_cut_crossed_by_too_many_links():
     # N=14, forward links only: Omega = {0..7} is crossed by 8 x 8 = 64.
-    links = {(i, j): 1.0 for i in range(16) for j in range(i + 1, 16)}
-    inst = oc.NetworkInstance.from_links(14, links, 1.0, 1.0, 0.1)
-    space = oc.StateSpace(patterns=(oc.AlignmentPattern(()),),
-                          cuts=(oc.Cut(tuple(range(8)), 14),), links=tuple(inst.links()))
+    forward = {(i, j): 1.0 for i in range(16) for j in range(i + 1, 16)}
+    inst = oc.NetworkInstance.from_links(14, forward, 1.0, 1.0, 0.1)
+    links = tuple(inst.links())
+    space = oc.StateSpace(incidence=np.zeros((1, len(links)), dtype=bool),
+                          cuts=(oc.Cut(tuple(range(8)), 14),), links=links)
     with pytest.raises(oc.EnumerationCapError, match="crossed by 64"):
         oc.cut_block_tables(inst, space)
 

@@ -7,8 +7,11 @@ import pytest
 
 import otocap as oc
 from conftest import (
+    NodeState,
     diamond_instance,
+    enumerate_raw_states,
     line_instance,
+    pattern_of_state,
     permute_relays,
     random_instance,
     state_space_instances,
@@ -139,7 +142,7 @@ def test_effective_channel_empty_pattern_extremes():
 
 def test_effective_channel_preserves_structural_zeros():
     inst = diamond_instance(beta=0.5)
-    for pattern in oc.enumerate_alignment_patterns(inst):
+    for pattern in oc.build_state_space(inst).patterns:
         eff = oc.effective_channel(inst, pattern)
         assert np.all((inst.channel == 0) <= (eff == 0))
 
@@ -175,10 +178,10 @@ def test_validate_pattern_rejects_zero_link():
 
 def test_node_state_endpoint_rules():
     with pytest.raises(ValueError):
-        oc.NodeState(tx_target=(1, None, 0), rx_source=(None, 0, 1))  # dest transmits
+        NodeState(tx_target=(1, None, 0), rx_source=(None, 0, 1))  # dest transmits
     with pytest.raises(ValueError):
-        oc.NodeState(tx_target=(1, None, None), rx_source=(1, 0, 1))  # source receives
-    state = oc.NodeState(tx_target=(1, 2, None), rx_source=(None, 0, 1))
+        NodeState(tx_target=(1, None, None), rx_source=(1, 0, 1))  # source receives
+    state = NodeState(tx_target=(1, 2, None), rx_source=(None, 0, 1))
     assert state.tx_target[0] == 1
 
 
@@ -211,8 +214,8 @@ def test_same_pattern_same_effective_channel_across_raw_states():
     from conftest import state_effective_channel
 
     by_pattern = {}
-    for state in oc.enumerate_raw_states(inst):
-        key = oc.pattern_of_state(state, inst)
+    for state in enumerate_raw_states(inst):
+        key = pattern_of_state(state, inst)
         eff = state_effective_channel(inst, state)
         if key in by_pattern:
             assert np.array_equal(by_pattern[key], eff)
