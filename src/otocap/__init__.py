@@ -10,15 +10,12 @@ schedule-then-nullify rate, and certified additive gaps between them.
 from .bounds import (
     AssumptionReport,
     DegenerateInstanceError,
-    DominanceViolatedError,
     GapReport,
     RatioCondition,
     TheoremViolationError,
     analytic_dominance_bound,
     check_assumptions,
     constant_gap_condition,
-    dominance_penalty,
-    ideal_gap_bound,
     tsn_gap_bound,
     verify_instance,
 )
@@ -35,26 +32,20 @@ from .capacity import (
 from .enumeration import (
     CAP_ENV_VAR,
     EnumerationCapError,
-    EnumerationCaps,
     StateSpace,
     build_state_space,
     crossing_matrix,
-    default_caps,
     enumerate_cuts,
 )
 from .instancegen import GenSpec, friis_amplitude, generate, platooning_instance
 from .matrices import (
     CutBlockTables,
-    CutStateMatrix,
     cut_block_tables,
     cut_dominance_ratio,
     cut_state_matrix,
-    cut_submatrix,
     dominance_ratio,
     gram_matrix,
-    hadamard_upper_bound,
     log_det_capacity,
-    ostrowski_lower_bound,
 )
 from .model import (
     EMPTY_PATTERN,
@@ -89,13 +80,10 @@ __all__ = [
     "CapacityResult",
     "Cut",
     "CutBlockTables",
-    "CutStateMatrix",
     "DegenerateInstanceError",
-    "DominanceViolatedError",
     "EMPTY_PATTERN",
     "EdgeFractions",
     "EnumerationCapError",
-    "EnumerationCaps",
     "GapReport",
     "GenSpec",
     "InvalidPatternError",
@@ -120,24 +108,18 @@ __all__ = [
     "cut_block_tables",
     "cut_dominance_ratio",
     "cut_state_matrix",
-    "cut_submatrix",
     "decompose_edge_fractions",
-    "default_caps",
-    "dominance_penalty",
     "dominance_ratio",
     "effective_channel",
     "enumerate_cuts",
     "friis_amplitude",
     "generate",
     "gram_matrix",
-    "hadamard_upper_bound",
-    "ideal_gap_bound",
     "imperfect_value_table",
     "linear_value_table",
     "link_rates",
     "log_det_capacity",
     "max_degree",
-    "ostrowski_lower_bound",
     "platooning_instance",
     "rate_tsn",
     "solve_edge_lp",

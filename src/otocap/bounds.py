@@ -35,12 +35,9 @@ __all__ = [
     "AssumptionReport",
     "RatioCondition",
     "GapReport",
-    "DominanceViolatedError",
     "DegenerateInstanceError",
     "TheoremViolationError",
     "check_assumptions",
-    "dominance_penalty",
-    "ideal_gap_bound",
     "constant_gap_condition",
     "analytic_dominance_bound",
     "tsn_gap_bound",
@@ -49,18 +46,6 @@ __all__ = [
 
 GAP_TOL = 1e-6
 RHO_TIE_RTOL = 1e-12
-
-
-class DominanceViolatedError(RuntimeError):
-    """Some (pattern, cut) Gram matrix is not diagonally dominant."""
-
-    def __init__(self, worst):
-        pattern, cut, rho = worst
-        super().__init__(
-            f"dominance ratio {rho:.6g} >= 1 at pattern {pattern.pairs} "
-            f"cut {cut.omega}"
-        )
-        self.worst = worst
 
 
 class DegenerateInstanceError(ValueError):
@@ -126,23 +111,6 @@ class GapReport:
     schedule_supports: dict[str, int]
 
 
-def _dominance_sweep(
-    inst: NetworkInstance, space: StateSpace, blocks: CutBlockTables | None = None
-):
-    """Max dominance ratio over all (pattern, cut) Gram matrices.
-
-    The witness is the first maximum with patterns outer and cuts inner,
-    with its own ratio.  Ratios within RHO_TIE_RTOL of the maximum tie
-    with it, so that the rounding of equal blocks built in a different
-    node order cannot move the witness.
-    """
-    rho = (blocks or cut_block_tables(inst, space)).rho.T
-    max_rho = float(rho.max())
-    tied = rho >= max_rho - RHO_TIE_RTOL * max(1.0, max_rho)
-    pk, ck = divmod(int(np.argmax(tied)), rho.shape[1])
-    return max_rho, (space.patterns[pk], space.cuts[ck], float(rho[pk, ck]))
-
-
 def check_assumptions(
     inst: NetworkInstance,
     space: StateSpace | None = None,
@@ -152,8 +120,13 @@ def check_assumptions(
 
     Main-lobe violations are reported as (i, j, k) triples: the aligned
     link i -> j would be weaker than the side lobe from k into j.
-    ``blocks`` are this instance's and space's cut-block tables when the
-    caller already has them.
+    ``max_rho`` is the largest dominance ratio over all (pattern, cut)
+    Gram matrices.  Its witness ``worst`` is the first maximum with
+    patterns outer and cuts inner, with its own ratio; ratios within
+    RHO_TIE_RTOL of the maximum tie with it, so that the rounding of
+    equal blocks built in a different node order cannot move the
+    witness.  ``blocks`` are this instance's and space's cut-block
+    tables when the caller already has them.
     """
     space = space or build_state_space(inst)
     violations = []
@@ -165,13 +138,16 @@ def check_assumptions(
             for k in mags
             if k != i and inst.alpha * mags[i] < inst.beta * mags[k]
         ]
-    max_rho, worst = _dominance_sweep(inst, space, blocks)
+    rho = (blocks or cut_block_tables(inst, space)).rho.T
+    max_rho = float(rho.max())
+    tied = rho >= max_rho - RHO_TIE_RTOL * max(1.0, max_rho)
+    pk, ck = divmod(int(np.argmax(tied)), rho.shape[1])
     return AssumptionReport(
         main_lobe_stronger=not violations,
         main_lobe_violations=tuple(violations),
         diagonally_dominant=max_rho <= 1.0,
         max_rho=max_rho,
-        worst=worst,
+        worst=(space.patterns[pk], space.cuts[ck], float(rho[pk, ck])),
     )
 
 
@@ -190,32 +166,6 @@ def _ideal_gap_terms(n: int, max_rho: float) -> tuple[float, float]:
     else:
         return math.nan, (0.0 if n == 0 else math.nan)
     return penalty, (n * max(math.log2(n), penalty) if n else 0.0)
-
-
-def _strict_max_rho(inst: NetworkInstance, space: StateSpace | None) -> float:
-    """Maximum dominance ratio; raises DominanceViolatedError at rho >= 1."""
-    max_rho, worst = _dominance_sweep(inst, space or build_state_space(inst))
-    if max_rho >= 1.0:
-        raise DominanceViolatedError(worst)
-    return max_rho
-
-
-def dominance_penalty(inst: NetworkInstance, space: StateSpace | None = None) -> float:
-    """Worst-case |log2(1 - rho)| over all (pattern, cut) pairs.
-
-    Monotone in the maximum ratio, so it is evaluated there.  Raises
-    DominanceViolatedError when some Gram matrix is not strictly
-    dominant (rho >= 1), carrying the offending (pattern, cut, rho).
-    """
-    return _ideal_gap_terms(inst.num_relays, _strict_max_rho(inst, space))[0]
-
-
-def ideal_gap_bound(inst: NetworkInstance, space: StateSpace | None = None) -> float:
-    """Bound N * max(log2 N, penalty) on |imperfect - ideal| capacity.
-
-    Raises DominanceViolatedError like ``dominance_penalty``.
-    """
-    return _ideal_gap_terms(inst.num_relays, _strict_max_rho(inst, space))[1]
 
 
 def _gain_ratio(inst: NetworkInstance) -> float:

@@ -247,20 +247,24 @@ class _ReportWriter:
 # -- commands -------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
-    spec = GenSpec(
+def _genspec(args, seed: int) -> GenSpec:
+    """The generator spec that the shared gen/verify flags describe."""
+    return GenSpec(
         topology=args.topology,
         relays=args.relays,
         channel=args.channel,
         power=args.power,
         alpha=args.alpha,
         beta=args.beta,
-        seed=args.seed,
+        seed=seed,
         edge_probability=args.edge_prob,
         scale=args.scale,
         spacing_m=args.spacing,
     )
-    inst = generate(spec)
+
+
+def cmd_gen(args) -> int:
+    inst = generate(_genspec(args, args.seed))
     if args.output:
         save_instance(inst, args.output)
         print(f"wrote {args.output}", file=sys.stderr)
@@ -333,19 +337,7 @@ def cmd_verify(args) -> int:
     try:
         for k in range(args.trials):
             seed = args.seed + k
-            spec = GenSpec(
-                topology=args.topology,
-                relays=args.relays,
-                channel=args.channel,
-                power=args.power,
-                alpha=args.alpha,
-                beta=args.beta,
-                seed=seed,
-                edge_probability=args.edge_prob,
-                scale=args.scale,
-                spacing_m=args.spacing,
-            )
-            inst = generate(spec)
+            inst = generate(_genspec(args, seed))
             start = time.perf_counter()
             try:
                 report = verify_instance(inst)

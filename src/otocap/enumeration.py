@@ -30,11 +30,9 @@ import numpy as np
 from .model import AlignmentPattern, Cut, NetworkInstance
 
 __all__ = [
-    "EnumerationCaps",
     "EnumerationCapError",
     "StateSpace",
     "crossing_matrix",
-    "default_caps",
     "enumerate_cuts",
     "build_state_space",
 ]
@@ -46,25 +44,19 @@ class EnumerationCapError(RuntimeError):
     """Instance exceeds a configured enumeration cap."""
 
 
-@dataclass(frozen=True)
-class EnumerationCaps:
-    max_pattern_relays: int = 5
-    max_cut_relays: int = 8
-
-
-def default_caps() -> EnumerationCaps:
-    """Built-in caps, both overridden by OTO_CAP_MAX_RELAYS if set."""
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return EnumerationCaps()
-    try:
-        limit = int(raw)
-    except ValueError as exc:
-        raise EnumerationCapError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return EnumerationCaps(max_pattern_relays=limit, max_cut_relays=limit)
+# relay counts above which patterns and cuts are not enumerated, unless
+# CAP_ENV_VAR overrides both
+_MAX_PATTERN_RELAYS = 5
+_MAX_CUT_RELAYS = 8
 
 
 def _check_cap(what: str, cap: int, n: int) -> None:
+    raw = os.environ.get(CAP_ENV_VAR)
+    if raw is not None:
+        try:
+            cap = int(raw)
+        except ValueError as exc:
+            raise EnumerationCapError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
     if n > cap:
         raise EnumerationCapError(
             f"{what} enumeration capped at {cap} relays, got {n} (override with {CAP_ENV_VAR})"
@@ -78,7 +70,7 @@ def enumerate_cuts(inst: NetworkInstance) -> list[Cut]:
     so the first cut is {0} and the last is {0, 1, .., N}.
     """
     n = inst.num_relays
-    _check_cap("cut", default_caps().max_cut_relays, n)
+    _check_cap("cut", _MAX_CUT_RELAYS, n)
     cuts = []
     for mask in range(1 << n):
         omega = (0,) + tuple(r for r in range(1, n + 1) if mask >> (r - 1) & 1)
@@ -171,7 +163,7 @@ def _matching_incidence(n: int, links: tuple[tuple[int, int], ...]) -> np.ndarra
 
 def build_state_space(inst: NetworkInstance) -> StateSpace:
     """Every alignment pattern, cut and nonzero link of an instance, under the caps."""
-    _check_cap("pattern", default_caps().max_pattern_relays, inst.num_relays)
+    _check_cap("pattern", _MAX_PATTERN_RELAYS, inst.num_relays)
     links = tuple(inst.links())
     return StateSpace(
         incidence=_matching_incidence(inst.num_relays, links),

@@ -22,19 +22,17 @@ the Gram matrix, a zero column nothing -- and evaluated in one batch:
   power, where a factorization of the Gram matrix loses digits;
 * the dominance ratio from the batched Gram matrices.
 
-``cut_state_matrix`` is the per-pair route: one block sliced from the
-full effective channel.  ``log_det_capacity`` and
-``cut_dominance_ratio`` evaluate such a block with the same helpers as
-the batch.  The Ostrowski and Hadamard-Fischer determinant bounds
-sandwich the determinant whenever the Gram matrix is diagonally
-dominant, which is what the gap analysis runs on.
+``gram_matrix`` and ``dominance_ratio`` work on any stack of blocks or
+Gram matrices, batched over leading axes.  ``cut_state_matrix`` is the
+per-pair route: one block sliced from the full effective channel, which
+``log_det_capacity`` and ``cut_dominance_ratio`` evaluate with the same
+helpers as the batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,24 +41,19 @@ from .model import AlignmentPattern, Cut, NetworkInstance, effective_channel
 
 __all__ = [
     "CutBlockTables",
-    "CutStateMatrix",
-    "OstrowskiBound",
     "cut_block_tables",
-    "cut_submatrix",
     "cut_state_matrix",
     "gram_matrix",
     "log_det_capacity",
     "dominance_ratio",
     "cut_dominance_ratio",
-    "ostrowski_lower_bound",
-    "hadamard_upper_bound",
 ]
 
 _LN2 = math.log(2.0)
 MAX_CROSSING_LINKS = 62
 
 
-def _grams(blocks: np.ndarray, power: float) -> np.ndarray:
+def gram_matrix(blocks: np.ndarray, power: float) -> np.ndarray:
     """Gram matrices I + P M M^H of a stack of blocks (..., r, s)."""
     eye = np.eye(blocks.shape[-2])
     return eye + power * (blocks @ np.swapaxes(blocks.conj(), -1, -2))
@@ -72,8 +65,12 @@ def _log_dets(blocks: np.ndarray, power: float) -> np.ndarray:
     return np.log1p(power * sigma**2).sum(axis=-1) / _LN2
 
 
-def _dominance_ratios(grams: np.ndarray) -> np.ndarray:
-    """Worst row ratio of off-diagonal mass to the diagonal, per matrix."""
+def dominance_ratio(grams: np.ndarray) -> np.ndarray:
+    """Worst row ratio of off-diagonal mass to the diagonal, per matrix.
+
+    A ratio <= 1 means every row of that matrix is (weakly) diagonally
+    dominant.  Zero for 1x1 and diagonal matrices.
+    """
     abs_g = np.abs(grams)
     diag = np.diagonal(abs_g, axis1=-2, axis2=-1)
     return np.max((abs_g.sum(axis=-1) - diag) / diag, axis=-1)
@@ -150,82 +147,27 @@ def cut_block_tables(inst: NetworkInstance, space: StateSpace) -> CutBlockTables
         start += len(chunk)
 
     values = _log_dets(blocks, inst.power)
-    rho = _dominance_ratios(_grams(blocks, inst.power))
+    rho = dominance_ratio(gram_matrix(blocks, inst.power))
     return CutBlockTables(values=values[index], rho=rho[index], distinct_blocks=built)
-
-
-@dataclass(frozen=True)
-class CutStateMatrix:
-    """Effective channel block ``m`` of one (pattern, cut) pair, wide."""
-
-    m: np.ndarray
-
-
-def cut_submatrix(inst: NetworkInstance, cut: Cut) -> np.ndarray:
-    """Raw channel block: rows Omega^c ascending, columns Omega ascending."""
-    rows = list(cut.complement)
-    cols = list(cut.omega)
-    return inst.channel[np.ix_(rows, cols)].copy()
 
 
 def cut_state_matrix(
     inst: NetworkInstance, pattern: AlignmentPattern, cut: Cut
-) -> CutStateMatrix:
+) -> np.ndarray:
     """Effective channel at rows Omega^c x columns Omega, both ascending.
 
     A tall block is conjugate-transposed, which changes neither its
     log-det nor its Gram matrix's dominance ratio.
     """
     m = effective_channel(inst, pattern)[np.ix_(cut.complement, cut.omega)]
-    return CutStateMatrix(m=m if m.shape[0] <= m.shape[1] else m.conj().T)
+    return m if m.shape[0] <= m.shape[1] else m.conj().T
 
 
-def gram_matrix(csm: CutStateMatrix, power: float) -> np.ndarray:
-    """Hermitian Gram matrix A = I + P M M^H over the smaller dimension."""
-    return _grams(csm.m, power)
-
-
-def log_det_capacity(csm: CutStateMatrix, power: float) -> float:
+def log_det_capacity(block: np.ndarray, power: float) -> float:
     """log2 det(I + P M M^H) in bits; exactly 0 for an all-zero block."""
-    return float(_log_dets(csm.m, power))
+    return float(_log_dets(block, power))
 
 
-def dominance_ratio(a: np.ndarray) -> float:
-    """Worst row ratio of off-diagonal mass to the diagonal entry.
-
-    A ratio <= 1 means every row is (weakly) diagonally dominant.  Zero
-    for 1x1 and diagonal matrices.
-    """
-    a = np.asarray(a)
-    if a.shape[0] <= 1:
-        return 0.0
-    return float(_dominance_ratios(a))
-
-
-def cut_dominance_ratio(csm: CutStateMatrix, power: float) -> float:
+def cut_dominance_ratio(block: np.ndarray, power: float) -> float:
     """Dominance ratio of the Gram matrix I + P M M^H."""
-    return float(_dominance_ratios(gram_matrix(csm, power)))
-
-
-class OstrowskiBound(NamedTuple):
-    value: float
-    dominance_ok: bool
-
-
-def ostrowski_lower_bound(a: np.ndarray) -> OstrowskiBound:
-    """Ostrowski-style determinant lower bound (1 - rho)^n * prod(diag).
-
-    For a Hermitian matrix with positive diagonal and dominance ratio
-    rho < 1 this lower-bounds det(A).  When rho >= 1 the formula value
-    (zero or negative) is still returned, flagged as not dominant.
-    """
-    a = np.asarray(a)
-    rho = dominance_ratio(a)
-    value = float((1.0 - rho) ** a.shape[0] * np.prod(np.real(np.diag(a))))
-    return OstrowskiBound(value=value, dominance_ok=rho < 1.0)
-
-
-def hadamard_upper_bound(a: np.ndarray) -> float:
-    """Hadamard-Fischer determinant upper bound: the diagonal product."""
-    a = np.asarray(a)
-    return float(np.prod(np.real(np.diag(a))))
+    return float(dominance_ratio(gram_matrix(block, power)))

@@ -165,14 +165,6 @@ class NetworkInstance:
     def destination(self) -> int:
         return self.num_relays + 1
 
-    def has_link(self, i: int, j: int) -> bool:
-        return (
-            0 <= i <= self.num_relays
-            and 1 <= j <= self.destination
-            and i != j
-            and self.channel[j, i] != 0
-        )
-
     def link_mask(self) -> np.ndarray:
         """Boolean [j, i] mask of the nonzero admissible links i -> j."""
         return admissible_links(self.num_relays) & (self.channel != 0)

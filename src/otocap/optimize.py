@@ -152,12 +152,6 @@ def solve_maxmin(problem: MaxMinProblem) -> np.ndarray:
     return lam
 
 
-def _validate_edge(inst: NetworkInstance, edge: tuple[int, int]) -> None:
-    i, j = edge
-    if not inst.has_link(i, j):
-        raise ValueError(f"edge ({i}, {j}) is not a nonzero link of the instance")
-
-
 def solve_edge_lp(
     inst: NetworkInstance, rates: Mapping[tuple[int, int], float]
 ) -> tuple[float, EdgeFractions]:
@@ -169,8 +163,11 @@ def solve_edge_lp(
     (recomputed from the cleaned fractions) and the fractions.
     """
     edges = sorted(rates)
+    unknown = sorted(set(edges) - set(inst.links()))
+    if unknown:
+        i, j = unknown[0]
+        raise ValueError(f"edge ({i}, {j}) is not a nonzero link of the instance")
     for e in edges:
-        _validate_edge(inst, e)
         if rates[e] < 0 or not np.isfinite(rates[e]):
             raise ValueError(f"rate for edge {e} must be finite and nonnegative")
     rate_vec = np.array([rates[e] for e in edges])

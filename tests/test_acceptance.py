@@ -17,7 +17,12 @@ import numpy as np
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).parent))
 
 import otocap as oc
-from conftest import edge_route, raw_state_capacities
+from conftest import (
+    edge_route,
+    hadamard_upper_bound,
+    ostrowski_lower_bound,
+    raw_state_capacities,
+)
 
 GAP_TOL = 1e-6
 EXACT_TOL = 1e-9
@@ -58,15 +63,13 @@ def test_criterion_2_ideal_gap_bound_under_assumptions():
                                       channel="rayleigh", beta=1.0,
                                       alpha=alphas[k % 3], power=0.01,
                                       seed=1000 + k))
-        space = oc.build_state_space(inst)
-        assumptions = oc.check_assumptions(inst, space)
-        if not assumptions.both_hold:
+        report = oc.verify_instance(inst)
+        if not report.assumptions.both_hold:
             skipped += 1
             continue
         passed += 1
-        gap = abs(oc.capacity_imperfect(inst, space).value
-                  - oc.capacity_ideal(inst, space=space).value)
-        bound = oc.ideal_gap_bound(inst, space)
+        gap = abs(report.c_imperfect - report.c_ideal)
+        bound = report.ideal_gap_bound
         min_margin = min(min_margin, bound - gap)
         ok = ok and gap <= bound + GAP_TOL
     elapsed = time.perf_counter() - start
@@ -240,8 +243,8 @@ def test_criterion_8_determinant_sandwich():
         shift = np.maximum(0.0, off - np.real(np.diag(a))) + rng.uniform(0.0, 1.0, n)
         a = a + np.diag(shift)
         det = float(np.linalg.det(a).real)
-        low = oc.ostrowski_lower_bound(a)
-        high = oc.hadamard_upper_bound(a)
+        low = ostrowski_lower_bound(a)
+        high = hadamard_upper_bound(a)
         ok = (ok and low.dominance_ok
               and low.value <= det * (1 + EXACT_TOL) + 1e-12
               and det <= high * (1 + EXACT_TOL) + 1e-12)
@@ -264,14 +267,14 @@ def test_criterion_8_determinant_sandwich():
         ok = ok and min_slack >= -1e-12
         for pattern in space.patterns:
             for cut in space.cuts:
-                csm = oc.cut_state_matrix(inst, pattern, cut)
-                gram = np.eye(csm.m.shape[0]) + inst.power * (csm.m @ csm.m.conj().T)
+                m = oc.cut_state_matrix(inst, pattern, cut)
+                gram = np.eye(m.shape[0]) + inst.power * (m @ m.conj().T)
                 det = float(np.linalg.det(gram).real)
                 grams += 1
                 ok = (ok
-                      and oc.ostrowski_lower_bound(gram).value
+                      and ostrowski_lower_bound(gram).value
                       <= det * (1 + EXACT_TOL) + 1e-12
-                      and det <= oc.hadamard_upper_bound(gram) * (1 + EXACT_TOL) + 1e-12)
+                      and det <= hadamard_upper_bound(gram) * (1 + EXACT_TOL) + 1e-12)
     elapsed = time.perf_counter() - start
     ok = ok and accepted == 20
     assert _report(

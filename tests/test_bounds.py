@@ -58,7 +58,7 @@ def test_dominance_penalty_exact_half_rho():
     pattern, cut, rho = report.worst
     assert set(cut.omega) == {0, 1}
     assert math.isclose(rho, 0.5, rel_tol=1e-12)
-    assert math.isclose(oc.dominance_penalty(inst), 1.0, rel_tol=1e-12)
+    assert math.isclose(oc.verify_instance(inst).dominance_penalty, 1.0, rel_tol=1e-12)
 
 
 def test_penalty_matches_independent_sweep():
@@ -67,39 +67,40 @@ def test_penalty_matches_independent_sweep():
     worst = 0.0
     for pattern in space.patterns:
         for cut in space.cuts:
-            csm = oc.cut_state_matrix(inst, pattern, cut)
-            a = np.eye(csm.m.shape[0]) + inst.power * (csm.m @ csm.m.conj().T)
+            m = oc.cut_state_matrix(inst, pattern, cut)
+            a = np.eye(m.shape[0]) + inst.power * (m @ m.conj().T)
             absa = np.abs(a)
             off = absa.sum(axis=1) - np.diag(absa)
             if a.shape[0] > 1:
                 worst = max(worst, float(np.max(off / np.diag(absa))))
-    assert math.isclose(oc.dominance_penalty(inst), abs(math.log2(1 - worst)),
-                        rel_tol=1e-9)
+    assert math.isclose(oc.verify_instance(inst).dominance_penalty,
+                        abs(math.log2(1 - worst)), rel_tol=1e-9)
 
 
-def test_dominance_violation_raises_with_witness():
+def test_dominance_violation_reported_with_witness():
     inst = oc.NetworkInstance.from_links(
         4, {(0, 3): 2.0, (0, 4): 2.0, (0, 5): 2.0}, 1.0, 1.0, 1.0
     )
-    with pytest.raises(oc.DominanceViolatedError) as err:
-        oc.dominance_penalty(inst)
-    pattern, cut, rho = err.value.worst
-    assert rho >= 1.0
-    with pytest.raises(oc.DominanceViolatedError):
-        oc.ideal_gap_bound(inst)
+    report = oc.check_assumptions(inst)
+    pattern, cut, rho = report.worst
+    assert rho >= 1.0 and rho == report.max_rho
+    assert math.isnan(oc.verify_instance(inst).ideal_gap_bound)
 
 
 def test_ideal_gap_bound_levels():
-    assert math.isclose(oc.ideal_gap_bound(fan_instance()), 2.0, rel_tol=1e-12)
+    def bound(inst):
+        return oc.verify_instance(inst).ideal_gap_bound
+
+    assert math.isclose(bound(fan_instance()), 2.0, rel_tol=1e-12)
 
     flat = random_instance(seed=2, relays=4, topology="line", beta=0.0)
-    assert math.isclose(oc.ideal_gap_bound(flat), 8.0, rel_tol=1e-12)
+    assert math.isclose(bound(flat), 8.0, rel_tol=1e-12)
 
     single = random_instance(seed=2, relays=1, topology="line", beta=0.0)
-    assert oc.ideal_gap_bound(single) == 0.0
+    assert bound(single) == 0.0
 
     direct = oc.NetworkInstance.from_links(0, {(0, 1): 1.0}, 1.0, 1.0, 0.0)
-    assert oc.ideal_gap_bound(direct) == 0.0
+    assert bound(direct) == 0.0
 
 
 def test_penalty_crosses_log_n_exactly_with_rho_boundary():
@@ -107,15 +108,16 @@ def test_penalty_crosses_log_n_exactly_with_rho_boundary():
     for seed in range(12):
         inst = random_instance(seed=seed + 300, relays=2, beta=0.3,
                                alpha=1.0 + (seed % 3))
-        report = oc.check_assumptions(inst)
-        if not report.diagonally_dominant or report.max_rho >= 1.0:
+        report = oc.verify_instance(inst)
+        max_rho = report.assumptions.max_rho
+        if not report.assumptions.diagonally_dominant or max_rho >= 1.0:
             continue
         n = inst.num_relays
-        f = oc.dominance_penalty(inst)
+        f = report.dominance_penalty
         boundary = (n - 1) / n
-        if abs(report.max_rho - boundary) < 1e-9:
+        if abs(max_rho - boundary) < 1e-9:
             continue
-        assert (f <= math.log2(n) + 1e-12) == (report.max_rho <= boundary)
+        assert (f <= math.log2(n) + 1e-12) == (max_rho <= boundary)
 
 
 def test_constant_gap_condition_diamond():
@@ -227,10 +229,6 @@ def test_verify_rho_exactly_one_gives_infinite_penalty_and_bound():
     assert report.assumptions.max_rho == 1.0
     assert report.assumptions.diagonally_dominant
     assert report.dominance_penalty == report.ideal_gap_bound == math.inf
-    with pytest.raises(oc.DominanceViolatedError):
-        oc.dominance_penalty(inst)
-    with pytest.raises(oc.DominanceViolatedError):
-        oc.ideal_gap_bound(inst)
 
 
 def test_verify_linkless_instance():

@@ -131,13 +131,18 @@ def test_enumeration_caps_and_env_override(monkeypatch):
         oc.enumerate_cuts(huge)
 
     monkeypatch.setenv(oc.CAP_ENV_VAR, "9")
-    assert oc.default_caps().max_pattern_relays == 9
     assert len(patterns_of(big)) > 0
     assert len(oc.enumerate_cuts(huge)) == 512
+    monkeypatch.setenv(oc.CAP_ENV_VAR, "8")
+    with pytest.raises(oc.EnumerationCapError) as err:
+        oc.enumerate_cuts(huge)
+    assert "capped at 8 relays, got 9" in str(err.value)
 
     monkeypatch.setenv(oc.CAP_ENV_VAR, "not-a-number")
-    with pytest.raises(oc.EnumerationCapError):
-        oc.default_caps()
+    for enumerate_ in (oc.build_state_space, oc.enumerate_cuts):
+        with pytest.raises(oc.EnumerationCapError) as err:
+            enumerate_(line_instance(1))
+        assert "must be an integer" in str(err.value)
 
 
 def linked_at(space, row):

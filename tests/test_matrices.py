@@ -1,5 +1,5 @@
-"""Cut submatrices, per-pair cut blocks, log-det values, det bounds, and
-the batched cut-block kernel."""
+"""Per-pair cut blocks, log-det values, dominance ratios, the determinant
+sandwich, and the batched cut-block kernel."""
 
 import math
 
@@ -10,66 +10,51 @@ import otocap as oc
 from otocap.matrices import MAX_CROSSING_LINKS, _group_rows
 from conftest import (
     diamond_instance,
+    hadamard_upper_bound,
     line_instance,
     logdet_oracle,
     mp_cut_log_det,
+    ostrowski_lower_bound,
     per_pair_tables,
     random_instance,
 )
 
 
-def test_cut_submatrix_line_shapes_and_entries():
-    inst = line_instance(1)
-    col = oc.cut_submatrix(inst, oc.Cut((0,), 1))
-    assert col.shape == (2, 1)
-    assert col[0, 0] == 1.0 and col[1, 0] == 0.0
-
-    # Omega = {0,1}: complement {2} gives a single receiver row.
-    row = oc.cut_submatrix(inst, oc.Cut((0, 1), 1))
-    assert row.shape == (1, 2)
-    assert row[0, 0] == 0.0 and row[0, 1] == 1.0
-
-    single = oc.NetworkInstance.from_links(0, {(0, 1): 7.0}, 1.0, 1.0, 0.0)
-    assert oc.cut_submatrix(single, oc.Cut((0,), 0)).shape == (1, 1)
-    assert oc.cut_submatrix(single, oc.Cut((0,), 0))[0, 0] == 7.0
-
-
 def test_cut_state_matrix_wide_orientation_single_aligned():
     inst = line_instance(1, alpha=2.0, beta=0.5)
     pattern = oc.AlignmentPattern(((0, 1),))
-    csm = oc.cut_state_matrix(inst, pattern, oc.Cut((0,), 1))
+    m = oc.cut_state_matrix(inst, pattern, oc.Cut((0,), 1))
     # rows {1, 2} x column {0} is tall, so the block comes conjugate-transposed
-    assert csm.m.shape == (1, 2)
-    np.testing.assert_allclose(csm.m, [[2.0, 0.0]])
-    np.testing.assert_array_equal(csm.m, oc.effective_channel(inst, pattern)[1:, :1].conj().T)
+    assert m.shape == (1, 2)
+    np.testing.assert_allclose(m, [[2.0, 0.0]])
+    np.testing.assert_array_equal(m, oc.effective_channel(inst, pattern)[1:, :1].conj().T)
 
 
 def test_cut_state_matrix_full_line_pattern():
     inst = line_instance(1, alpha=1.0, beta=0.0)
     pattern = oc.AlignmentPattern(((0, 1), (1, 2)))
-    csm = oc.cut_state_matrix(inst, pattern, oc.Cut((0, 1), 1))
+    m = oc.cut_state_matrix(inst, pattern, oc.Cut((0, 1), 1))
     # Only (1 -> 2) crosses the cut; 0 -> 1 stays inside Omega.  Row {2},
     # columns {0, 1} in ascending order.
-    assert csm.m.shape == (1, 2)
-    np.testing.assert_allclose(csm.m, [[0.0, 1.0]])
-    np.testing.assert_array_equal(csm.m, oc.effective_channel(inst, pattern)[2:, :2])
+    assert m.shape == (1, 2)
+    np.testing.assert_allclose(m, [[0.0, 1.0]])
+    np.testing.assert_array_equal(m, oc.effective_channel(inst, pattern)[2:, :2])
 
 
 def test_cut_state_matrix_diamond_two_aligned_on_diagonal():
     inst = diamond_instance(alpha=3.0, beta=0.5)
     pattern = oc.AlignmentPattern(((0, 1), (2, 3)))
-    csm = oc.cut_state_matrix(inst, pattern, oc.Cut((0, 2), 2))
+    m = oc.cut_state_matrix(inst, pattern, oc.Cut((0, 2), 2))
     # rows {1, 3} x columns {0, 2}: 0 -> 1 and 2 -> 3 both cross the cut
-    np.testing.assert_allclose(csm.m, [[3.0, 0.0], [0.0, 3.0]])
+    np.testing.assert_allclose(m, [[3.0, 0.0], [0.0, 3.0]])
     h = oc.effective_channel(inst, pattern)
-    np.testing.assert_array_equal(csm.m, h[np.ix_([1, 3], [0, 2])])
+    np.testing.assert_array_equal(m, h[np.ix_([1, 3], [0, 2])])
 
 
 def test_cut_state_matrix_empty_pattern_beta_zero():
     inst = diamond_instance(beta=0.0)
     for cut in oc.enumerate_cuts(inst):
-        csm = oc.cut_state_matrix(inst, oc.EMPTY_PATTERN, cut)
-        assert np.all(csm.m == 0)
+        assert np.all(oc.cut_state_matrix(inst, oc.EMPTY_PATTERN, cut) == 0)
 
 
 def test_log_det_hand_values():
@@ -77,10 +62,10 @@ def test_log_det_hand_values():
     zero = oc.cut_state_matrix(inst, oc.EMPTY_PATTERN, oc.Cut((0,), 2))
     assert oc.log_det_capacity(zero, 1.0) == 0.0
 
-    ident = oc.CutStateMatrix(m=np.eye(2, dtype=np.complex128))
+    ident = np.eye(2, dtype=np.complex128)
     assert math.isclose(oc.log_det_capacity(ident, 3.0), 4.0, rel_tol=1e-12)
 
-    row = oc.CutStateMatrix(m=np.array([[2.0, 0.0]], dtype=np.complex128))
+    row = np.array([[2.0, 0.0]], dtype=np.complex128)
     assert math.isclose(oc.log_det_capacity(row, 1.0), math.log2(5), rel_tol=1e-12)
 
 
@@ -90,35 +75,52 @@ def test_dominance_ratio_hand_values():
     assert math.isclose(oc.dominance_ratio(np.array([[2.0, 3.0], [3.0, 2.0]])), 1.5)
     assert oc.dominance_ratio(np.array([[4.2]])) == 0.0
 
+    # a stack of matrices, batched over the leading axes, gives each
+    # matrix's own ratio; likewise for the Gram matrices of a block stack
+    rng = np.random.Generator(np.random.Philox(7))
+    blocks = rng.normal(size=(2, 3, 2, 4)) + 1j * rng.normal(size=(2, 3, 2, 4))
+    grams = oc.gram_matrix(blocks, 0.7)
+    assert grams.shape == (2, 3, 2, 2)
+    ratios = oc.dominance_ratio(grams)
+    assert ratios.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        gram = oc.gram_matrix(blocks[idx], 0.7)
+        np.testing.assert_array_equal(grams[idx], gram)
+        assert ratios[idx] == oc.dominance_ratio(gram)
+        assert ratios[idx] == oc.cut_dominance_ratio(blocks[idx], 0.7)
+        assert gram.shape == (2, 2)
+        np.testing.assert_allclose(gram, np.eye(2) + 0.7 * blocks[idx] @ blocks[idx].conj().T,
+                                   rtol=1e-14)
+
 
 def test_ostrowski_hand_values():
-    res = oc.ostrowski_lower_bound(np.eye(3))
+    res = ostrowski_lower_bound(np.eye(3))
     assert res.dominance_ok and math.isclose(res.value, 1.0)
 
-    res = oc.ostrowski_lower_bound(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    res = ostrowski_lower_bound(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert res.dominance_ok
     assert math.isclose(res.value, 1.0)  # (1/2)^2 * 4, below det = 3
 
-    res = oc.ostrowski_lower_bound(np.array([[4.0, 1.0], [1.0, 4.0]]))
+    res = ostrowski_lower_bound(np.array([[4.0, 1.0], [1.0, 4.0]]))
     assert math.isclose(res.value, 9.0)  # (3/4)^2 * 16, below det = 15
 
     # Past the dominance boundary only the flag is meaningful: for even n
     # the (1-rho)^n factor is positive even though the bound is invalid
     # (det here is -5, below the formula value of 1).
-    res = oc.ostrowski_lower_bound(np.array([[2.0, 3.0], [3.0, 2.0]]))
+    res = ostrowski_lower_bound(np.array([[2.0, 3.0], [3.0, 2.0]]))
     assert not res.dominance_ok
     assert math.isclose(res.value, 1.0)
 
     odd = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    res = oc.ostrowski_lower_bound(odd)
+    res = ostrowski_lower_bound(odd)
     assert not res.dominance_ok
     assert res.value < 0.0
 
 
 def test_hadamard_hand_values():
-    assert math.isclose(oc.hadamard_upper_bound(np.eye(4)), 1.0)
-    assert math.isclose(oc.hadamard_upper_bound(np.array([[2.0, 1.0], [1.0, 2.0]])), 4.0)
-    assert math.isclose(oc.hadamard_upper_bound(np.array([[4.0, 1.0], [1.0, 4.0]])), 16.0)
+    assert math.isclose(hadamard_upper_bound(np.eye(4)), 1.0)
+    assert math.isclose(hadamard_upper_bound(np.array([[2.0, 1.0], [1.0, 2.0]])), 4.0)
+    assert math.isclose(hadamard_upper_bound(np.array([[4.0, 1.0], [1.0, 4.0]])), 16.0)
 
 
 def test_log_det_matches_slogdet_oracle_and_permutations():
@@ -129,13 +131,12 @@ def test_log_det_matches_slogdet_oracle_and_permutations():
             rows, cols = cols, rows
         m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         power = float(rng.uniform(0.1, 4.0))
-        csm = oc.CutStateMatrix(m=m)
         want = logdet_oracle(m, power)
-        assert math.isclose(oc.log_det_capacity(csm, power), want, rel_tol=1e-9)
+        assert math.isclose(oc.log_det_capacity(m, power), want, rel_tol=1e-9)
 
         perm_r = rng.permutation(rows)
         perm_c = rng.permutation(cols)
-        permuted = oc.CutStateMatrix(m=m[np.ix_(perm_r, perm_c)])
+        permuted = m[np.ix_(perm_r, perm_c)]
         assert math.isclose(oc.log_det_capacity(permuted, power), want, rel_tol=1e-9)
 
         # Sylvester: M M^H and M^H M give the same nonzero spectrum.
@@ -169,7 +170,7 @@ def test_beta_zero_closed_form():
     space = oc.build_state_space(inst)
     for pattern in space.patterns:
         for cut in space.cuts:
-            csm = oc.cut_state_matrix(inst, pattern, cut)
+            m = oc.cut_state_matrix(inst, pattern, cut)
             crossing = [
                 (i, j) for i, j in pattern.pairs
                 if i in cut.omega and j in cut.complement
@@ -178,7 +179,7 @@ def test_beta_zero_closed_form():
                 math.log2(1 + inst.power * inst.alpha**2 * abs(inst.channel[j, i]) ** 2)
                 for i, j in crossing
             )
-            got = oc.log_det_capacity(csm, inst.power)
+            got = oc.log_det_capacity(m, inst.power)
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
 
 
@@ -189,11 +190,11 @@ def test_gram_sandwich_on_assumption_passing_instance():
     space = oc.build_state_space(inst)
     for pattern in space.patterns:
         for cut in space.cuts:
-            csm = oc.cut_state_matrix(inst, pattern, cut)
-            a = oc.gram_matrix(csm, inst.power)
-            lo = oc.ostrowski_lower_bound(a)
-            hi = oc.hadamard_upper_bound(a)
-            val = oc.log_det_capacity(csm, inst.power)
+            m = oc.cut_state_matrix(inst, pattern, cut)
+            a = oc.gram_matrix(m, inst.power)
+            lo = ostrowski_lower_bound(a)
+            hi = hadamard_upper_bound(a)
+            val = oc.log_det_capacity(m, inst.power)
             assert lo.dominance_ok
             assert math.log2(lo.value) <= val + 1e-9
             assert val <= math.log2(hi) + 1e-9
@@ -205,7 +206,7 @@ def test_cut_state_matrix_entries_match_effective_channel():
     for pattern in space.patterns:
         h = oc.effective_channel(inst, pattern)
         for cut in space.cuts:
-            m = oc.cut_state_matrix(inst, pattern, cut).m
+            m = oc.cut_state_matrix(inst, pattern, cut)
             rows, cols = cut.complement, cut.omega
             if len(rows) > len(cols):
                 m = m.conj().T
