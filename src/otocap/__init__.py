@@ -9,11 +9,9 @@ schedule-then-nullify rate, and certified additive gaps between them.
 
 from .bounds import (
     AssumptionReport,
-    DegenerateInstanceError,
     GapReport,
     RatioCondition,
     TheoremViolationError,
-    analytic_dominance_bound,
     check_assumptions,
     constant_gap_condition,
     tsn_gap_bound,
@@ -80,7 +78,6 @@ __all__ = [
     "CapacityResult",
     "Cut",
     "CutBlockTables",
-    "DegenerateInstanceError",
     "EMPTY_PATTERN",
     "EdgeFractions",
     "EnumerationCapError",
@@ -98,7 +95,6 @@ __all__ = [
     "TheoremViolationError",
     "ValidationReport",
     "admissible_links",
-    "analytic_dominance_bound",
     "build_state_space",
     "capacity_ideal",
     "capacity_imperfect",

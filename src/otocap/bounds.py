@@ -35,21 +35,15 @@ __all__ = [
     "AssumptionReport",
     "RatioCondition",
     "GapReport",
-    "DegenerateInstanceError",
     "TheoremViolationError",
     "check_assumptions",
     "constant_gap_condition",
-    "analytic_dominance_bound",
     "tsn_gap_bound",
     "verify_instance",
 ]
 
 GAP_TOL = 1e-6
 RHO_TIE_RTOL = 1e-12
-
-
-class DegenerateInstanceError(ValueError):
-    """The instance has no links where the operation needs at least one."""
 
 
 class TheoremViolationError(AssertionError):
@@ -94,7 +88,11 @@ class RatioCondition:
 
 @dataclass(frozen=True)
 class GapReport:
-    """All gaps, bounds and assumption findings for one instance."""
+    """All gaps, bounds and assumption findings for one instance.
+
+    ``enforced`` names the theorems that applied to the instance and
+    were checked, in check order; the others were reported only.
+    """
 
     num_relays: int
     max_degree: int
@@ -109,6 +107,7 @@ class GapReport:
     tsn_gap_bound: float
     assumptions: AssumptionReport
     schedule_supports: dict[str, int]
+    enforced: tuple[str, ...]
 
 
 def check_assumptions(
@@ -200,25 +199,14 @@ def constant_gap_condition(inst: NetworkInstance) -> RatioCondition:
     )
 
 
-def analytic_dominance_bound(inst: NetworkInstance) -> float:
-    """Closed-form upper bound on the dominance sweep's maximum ratio.
+def tsn_gap_bound(inst: NetworkInstance) -> float:
+    """Bound N log2(Delta) + N * max leakage on the ideal-vs-TSN gap.
 
-    [2*alpha*beta + (Delta-2)*beta^2] * (Delta-1) / alpha^2 times the
-    worst link-gain ratio; zero for Delta <= 1 where no Gram matrix has
-    an off-diagonal entry.
+    A linkless instance (Delta = 0) has nothing to lose, so its bound is 0.
     """
     delta = max_degree(inst)
-    if delta <= 1:
-        return 0.0
-    bracket = 2.0 * inst.alpha * inst.beta + (delta - 2) * inst.beta**2
-    return bracket * (delta - 1) / inst.alpha**2 * _gain_ratio(inst)
-
-
-def tsn_gap_bound(inst: NetworkInstance) -> float:
-    """Bound N log2(Delta) + N * max leakage on the ideal-vs-TSN gap."""
-    delta = max_degree(inst)
     if delta == 0:
-        raise DegenerateInstanceError("instance has no links")
+        return 0.0
     worst_leak = max(link_rates(inst).leakage.values())
     return inst.num_relays * math.log2(delta) + inst.num_relays * worst_leak
 
@@ -226,15 +214,15 @@ def tsn_gap_bound(inst: NetworkInstance) -> float:
 def verify_instance(inst: NetworkInstance) -> GapReport:
     """Compute all capacities, gaps and bounds and enforce the bounds.
 
-    Raises TheoremViolationError the moment a bound that should hold is
-    exceeded beyond tolerance -- such a violation means a bug, not an
-    interesting data point.  A linkless instance short-circuits to an
-    all-zero report.  The ideal-gap bound is reported for every relay
-    count but enforced only when it is actually a theorem (see
-    ``_enforce`` for the single-relay carve-out).
+    Each of the five theorems is one row of a table: its name, whether
+    it applies to this instance, the gap it limits and its bound.  The
+    report's ``enforced`` names the rows that apply, in check order, and
+    TheoremViolationError is raised for the first of them whose gap
+    exceeds its bound by more than GAP_TOL -- such a violation means a
+    bug, not an interesting data point.  Every gap and bound is reported
+    whether or not its theorem applies.
     """
     space = build_state_space(inst)
-    delta = max_degree(inst)
     n = inst.num_relays
 
     imperfect = capacity_imperfect(inst, space)
@@ -244,32 +232,10 @@ def verify_instance(inst: NetworkInstance) -> GapReport:
 
     penalty, bound = _ideal_gap_terms(n, assumptions.max_rho)
     condition = constant_gap_condition(inst)
-    tsn_bound = 0.0 if delta == 0 else tsn_gap_bound(inst)
-
-    report = GapReport(
-        num_relays=n,
-        max_degree=delta,
-        c_imperfect=imperfect.value,
-        c_ideal=ideal.value,
-        r_tsn=tsn.value,
-        ideal_gap=abs(imperfect.value - ideal.value),
-        ideal_gap_bound=bound,
-        dominance_penalty=penalty,
-        ratio_condition=condition,
-        tsn_gap=ideal.value - tsn.value,
-        tsn_gap_bound=tsn_bound,
-        assumptions=assumptions,
-        schedule_supports={
-            "imperfect": imperfect.schedule.support_size,
-            "ideal": ideal.schedule.support_size,
-            "tsn": tsn.schedule.support_size,
-        },
-    )
-    _enforce(report, inst)
-    return report
-
-
-def _enforce(report: GapReport, inst: NetworkInstance) -> None:
+    ideal_gap = abs(imperfect.value - ideal.value)
+    tsn_gap = ideal.value - tsn.value
+    tsn_bound = tsn_gap_bound(inst)
+    both = assumptions.both_hold
     # The relay-count budget N*log2(N) absorbs the cut-size accounting
     # only for N >= 2 (and trivially at N = 0).  With exactly one relay
     # a cut containing both source and relay contributes log2(2) = 1 bit
@@ -278,39 +244,43 @@ def _enforce(report: GapReport, inst: NetworkInstance) -> None:
     # alpha=1, beta=0.1, P=1 has gap log2(2.01) - 1 > 0 with every
     # dominance ratio equal to zero.  The bound is still reported at
     # N = 1 but not enforced.
-    if report.num_relays != 1 and report.assumptions.both_hold and math.isfinite(
-        report.ideal_gap_bound
-    ):
-        if report.ideal_gap > report.ideal_gap_bound + GAP_TOL:
+    theorems = (
+        ("ideal-gap-bound", n != 1 and both and math.isfinite(bound), ideal_gap, bound),
+        ("constant-gap-bound", both and condition.applicable and condition.satisfied,
+         ideal_gap, n * math.log2(n) if n else 0.0),
+        ("tsn-dominated-by-ideal", True, -tsn_gap, 0.0),
+        ("tsn-gap-bound", True, tsn_gap, tsn_bound),
+        ("ideal-degeneration", inst.beta == 0, ideal_gap, 0.0),
+    )
+
+    report = GapReport(
+        num_relays=n,
+        max_degree=max_degree(inst),
+        c_imperfect=imperfect.value,
+        c_ideal=ideal.value,
+        r_tsn=tsn.value,
+        ideal_gap=ideal_gap,
+        ideal_gap_bound=bound,
+        dominance_penalty=penalty,
+        ratio_condition=condition,
+        tsn_gap=tsn_gap,
+        tsn_gap_bound=tsn_bound,
+        assumptions=assumptions,
+        schedule_supports={
+            "imperfect": imperfect.schedule.support_size,
+            "ideal": ideal.schedule.support_size,
+            "tsn": tsn.schedule.support_size,
+        },
+        enforced=tuple(name for name, applies, _, _ in theorems if applies),
+    )
+    _enforce(report, theorems)
+    return report
+
+
+def _enforce(report: GapReport, theorems: tuple[tuple[str, bool, float, float], ...]) -> None:
+    """Raise for the first applicable (name, applies, gap, bound) row broken."""
+    for name, applies, gap, limit in theorems:
+        if applies and gap > limit + GAP_TOL:
             raise TheoremViolationError(
-                "ideal-gap-bound",
-                f"gap {report.ideal_gap:.9g} exceeds bound {report.ideal_gap_bound:.9g}",
-                report,
+                name, f"gap {gap:.9g} exceeds bound {limit:.9g}", report
             )
-    rc = report.ratio_condition
-    if rc.applicable and rc.satisfied and report.assumptions.both_hold:
-        universal = report.num_relays * math.log2(report.num_relays)
-        if report.ideal_gap > universal + GAP_TOL:
-            raise TheoremViolationError(
-                "constant-gap-bound",
-                f"gap {report.ideal_gap:.9g} exceeds N log2 N = {universal:.9g}",
-                report,
-            )
-    if report.tsn_gap < -GAP_TOL:
-        raise TheoremViolationError(
-            "tsn-dominated-by-ideal",
-            f"side-lobe-noise rate exceeds ideal capacity by {-report.tsn_gap:.9g}",
-            report,
-        )
-    if report.tsn_gap > report.tsn_gap_bound + GAP_TOL:
-        raise TheoremViolationError(
-            "tsn-gap-bound",
-            f"gap {report.tsn_gap:.9g} exceeds bound {report.tsn_gap_bound:.9g}",
-            report,
-        )
-    if inst.beta == 0 and abs(report.c_imperfect - report.c_ideal) > GAP_TOL:
-        raise TheoremViolationError(
-            "ideal-degeneration",
-            f"models differ by {abs(report.c_imperfect - report.c_ideal):.9g} at beta=0",
-            report,
-        )

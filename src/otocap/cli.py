@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .bounds import GapReport, TheoremViolationError, verify_instance
@@ -229,19 +230,30 @@ def report_row(
     return {k: _fmt(values[k]) for k in REPORT_COLUMNS}
 
 
-class _ReportWriter:
-    def __init__(self, path: str | None):
-        self._own = path is not None
-        self._fh = open(path, "w", newline="") if path else sys.stdout
-        self._writer = csv.DictWriter(self._fh, fieldnames=REPORT_COLUMNS)
-        self._writer.writeheader()
+def _verify_cases(cases, path: str | None, fallback=None) -> list[GapReport] | None:
+    """Verify each ``(where, inst, row fields)`` case, one CSV row each.
 
-    def write(self, row: dict[str, str]) -> None:
-        self._writer.writerow(row)
-
-    def close(self) -> None:
-        if self._own:
-            self._fh.close()
+    Rows go to ``path``, else to ``fallback`` (no rows when both are
+    None).  On a theorem violation the case's ``where`` goes to stderr
+    and None is returned; the rows before it stay written.
+    """
+    with open(path, "w", newline="") if path else nullcontext(fallback) as out:
+        writer = None if out is None else csv.DictWriter(out, fieldnames=REPORT_COLUMNS)
+        if writer:
+            writer.writeheader()
+        reports = []
+        for k, (where, inst, fields) in enumerate(cases):
+            start = time.perf_counter()
+            try:
+                report = verify_instance(inst)
+            except TheoremViolationError as exc:
+                print(f"theorem violation at {where}: {exc}", file=sys.stderr)
+                return None
+            wall_ms = (time.perf_counter() - start) * 1e3
+            if writer:
+                writer.writerow(report_row(inst, report, row=k, wall_ms=wall_ms, **fields))
+            reports.append(report)
+    return reports
 
 
 # -- commands -------------------------------------------------------------
@@ -328,44 +340,37 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    writer = _ReportWriter(args.output) if args.output else None
-    passed = 0
-    max_ideal_gap = -math.inf
-    max_tsn_gap = -math.inf
-    min_ideal_margin = math.inf
-    min_tsn_margin = math.inf
-    try:
-        for k in range(args.trials):
-            seed = args.seed + k
-            inst = generate(_genspec(args, seed))
-            start = time.perf_counter()
-            try:
-                report = verify_instance(inst)
-            except TheoremViolationError as exc:
-                print(f"theorem violation at seed {seed}: {exc}", file=sys.stderr)
-                return 4
-            wall_ms = (time.perf_counter() - start) * 1e3
-            if writer:
-                writer.write(report_row(inst, report, row=k, wall_ms=wall_ms, seed=seed))
-            max_tsn_gap = max(max_tsn_gap, report.tsn_gap)
-            min_tsn_margin = min(min_tsn_margin, report.tsn_gap_bound - report.tsn_gap)
-            if report.assumptions.both_hold and math.isfinite(report.ideal_gap_bound):
-                passed += 1
-                max_ideal_gap = max(max_ideal_gap, report.ideal_gap)
-                min_ideal_margin = min(
-                    min_ideal_margin, report.ideal_gap_bound - report.ideal_gap
-                )
-    finally:
-        if writer:
-            writer.close()
+    seeds = range(args.seed, args.seed + args.trials)
+    cases = ((f"seed {s}", generate(_genspec(args, s)), {"seed": s}) for s in seeds)
+    reports = _verify_cases(cases, args.output)
+    if reports is None:
+        return 4
+    ideal = [r for r in reports if "ideal-gap-bound" in r.enforced]
+    ideal_gaps = [r.ideal_gap for r in ideal]
+    ideal_margins = [r.ideal_gap_bound - r.ideal_gap for r in ideal]
+    tsn_gaps = [r.tsn_gap for r in reports]
+    tsn_margins = [r.tsn_gap_bound - r.tsn_gap for r in reports]
     print(
-        f"trials={args.trials} assumptions_passed={passed} "
-        f"max_ideal_gap={_fmt(max_ideal_gap if passed else math.nan)} "
-        f"min_ideal_margin={_fmt(min_ideal_margin if passed else math.nan)} "
-        f"max_tsn_gap={_fmt(max_tsn_gap if args.trials else math.nan)} "
-        f"min_tsn_margin={_fmt(min_tsn_margin if args.trials else math.nan)}"
+        f"trials={args.trials} assumptions_passed={len(ideal)} "
+        f"max_ideal_gap={_fmt(max(ideal_gaps, default=math.nan))} "
+        f"min_ideal_margin={_fmt(min(ideal_margins, default=math.nan))} "
+        f"max_tsn_gap={_fmt(max(tsn_gaps, default=math.nan))} "
+        f"min_tsn_margin={_fmt(min(tsn_margins, default=math.nan))}"
     )
     return 0
+
+
+def _sweep_cases(args, inst: NetworkInstance):
+    for k in range(args.steps):
+        value = args.start + (args.stop - args.start) * k / (args.steps - 1)
+        swept = replace(inst, **{args.param: value})
+        check = validate_instance(swept)
+        if not check.ok:
+            raise InstanceFormatError(
+                f"sweep value {value:.12g} invalid: {'; '.join(check.violations)}"
+            )
+        fields = {"sweep_param": args.param, "sweep_value": value}
+        yield f"{args.param}={value:.12g}", swept, fields
 
 
 def cmd_sweep(args) -> int:
@@ -374,39 +379,8 @@ def cmd_sweep(args) -> int:
         raise InstanceFormatError("sweep needs at least 2 steps")
     if args.stop < args.start:
         raise InstanceFormatError("sweep range must have start <= stop")
-    writer = _ReportWriter(args.output)
-    try:
-        for k in range(args.steps):
-            value = args.start + (args.stop - args.start) * k / (args.steps - 1)
-            swept = replace(inst, **{args.param: value})
-            report_check = validate_instance(swept)
-            if not report_check.ok:
-                raise InstanceFormatError(
-                    f"sweep value {value:.12g} invalid: {'; '.join(report_check.violations)}"
-                )
-            start = time.perf_counter()
-            try:
-                report = verify_instance(swept)
-            except TheoremViolationError as exc:
-                print(
-                    f"theorem violation at {args.param}={value:.12g}: {exc}",
-                    file=sys.stderr,
-                )
-                return 4
-            wall_ms = (time.perf_counter() - start) * 1e3
-            writer.write(
-                report_row(
-                    swept,
-                    report,
-                    row=k,
-                    wall_ms=wall_ms,
-                    sweep_param=args.param,
-                    sweep_value=value,
-                )
-            )
-    finally:
-        writer.close()
-    return 0
+    reports = _verify_cases(_sweep_cases(args, inst), args.output, sys.stdout)
+    return 4 if reports is None else 0
 
 
 # -- parser ---------------------------------------------------------------

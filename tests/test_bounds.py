@@ -156,27 +156,11 @@ def test_constant_gap_threshold_hand_value():
     assert math.isclose(cond.threshold, 4.0 * 2.0 * 4.0, rel_tol=1e-12)
 
 
-def test_analytic_dominance_bound_hand_value():
-    inst = diamond_instance(alpha=8.0, beta=1.0)
-    # [2*8*1 + (2-2)*1] * (2-1) / 64 * 1 = 0.25
-    assert math.isclose(oc.analytic_dominance_bound(inst), 0.25, rel_tol=1e-12)
-    assert oc.analytic_dominance_bound(diamond_instance(beta=0.0)) == 0.0
-
-
-def test_analytic_bound_dominates_computed_rho_small_beta():
-    for seed in range(6):
-        inst = random_instance(seed=seed + 500, relays=3, beta=0.05)
-        report = oc.check_assumptions(inst)
-        assert report.both_hold
-        assert oc.analytic_dominance_bound(inst) >= report.max_rho - 1e-12
-
-
 def test_tsn_gap_bound_hand_values():
     assert math.isclose(oc.tsn_gap_bound(diamond_instance(beta=0.0)), 2.0)
     assert math.isclose(oc.tsn_gap_bound(diamond_instance(beta=1.0)), 4.0)
     empty = oc.NetworkInstance(2, np.zeros((4, 4), dtype=np.complex128), 1.0, 1.0, 0.0)
-    with pytest.raises(oc.DegenerateInstanceError):
-        oc.tsn_gap_bound(empty)
+    assert oc.tsn_gap_bound(empty) == 0.0
 
 
 def test_verify_beta_zero_degeneration():
@@ -289,3 +273,52 @@ def test_tsn_bound_holds_across_beta_range():
         report = oc.verify_instance(inst)
         assert report.tsn_gap <= report.tsn_gap_bound + 1e-6
         assert report.r_tsn <= report.c_ideal + 1e-9
+
+
+# (theorem, instance, model whose value is shifted, shift): each shift
+# breaks exactly the named theorem first.  The constant-gap case needs
+# an instance whose dominance penalty exceeds log2 N while the ratio
+# condition holds (max rho ~0.99 here), so that a gap of 5 bits sits
+# between N log2 N = 2 and the ideal-gap bound of ~13.3.
+THEOREM_CASES = [
+    ("ideal-gap-bound", lambda: diamond_instance(beta=0.0), "capacity_imperfect", 5.0),
+    ("constant-gap-bound",
+     lambda: oc.generate(oc.GenSpec(topology="full", relays=2, alpha=10.0, beta=0.1)),
+     "capacity_imperfect", 5.0),
+    ("tsn-dominated-by-ideal", lambda: diamond_instance(beta=0.0), "rate_tsn", 5.0),
+    ("tsn-gap-bound", lambda: diamond_instance(beta=0.0), "rate_tsn", -5.0),
+    ("ideal-degeneration", lambda: diamond_instance(beta=0.0), "capacity_imperfect", 0.5),
+]
+
+
+@pytest.mark.parametrize("name, make, model, shift", THEOREM_CASES,
+                         ids=[case[0] for case in THEOREM_CASES])
+def test_each_theorem_fires_under_its_own_name(monkeypatch, name, make, model, shift):
+    inst = make()
+    assert name in oc.verify_instance(inst).enforced
+    real = getattr(otocap.bounds, model)
+
+    def shifted(instance, space=None):
+        result = real(instance, space)
+        return dataclasses.replace(result, value=result.value + shift)
+
+    monkeypatch.setattr(otocap.bounds, model, shifted)
+    with pytest.raises(oc.TheoremViolationError) as exc:
+        oc.verify_instance(inst)
+    assert exc.value.name == name
+    assert name in exc.value.report.enforced
+
+
+@pytest.mark.parametrize("inst, enforced", [
+    (diamond_instance(beta=0.0),
+     ("ideal-gap-bound", "constant-gap-bound", "tsn-dominated-by-ideal",
+      "tsn-gap-bound", "ideal-degeneration")),
+    # N = 1: the ideal-gap bound is reported but not a theorem
+    (oc.NetworkInstance.from_links(1, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}, 1.0, 1.0, 0.1),
+     ("tsn-dominated-by-ideal", "tsn-gap-bound")),
+    # rho > 1: neither ideal-side theorem applies
+    (oc.NetworkInstance.from_links(4, {(0, 3): 2.0, (0, 4): 2.0, (0, 5): 2.0}, 1.0, 1.0, 1.0),
+     ("tsn-dominated-by-ideal", "tsn-gap-bound")),
+], ids=["diamond-beta0", "single-relay", "rho-above-one"])
+def test_report_names_the_enforced_theorems(inst, enforced):
+    assert oc.verify_instance(inst).enforced == enforced

@@ -370,6 +370,20 @@ def test_verify_flags_injected_bug_with_exit_4(capsys, monkeypatch):
     assert "theorem violation at seed 7" in err
 
 
+def test_verify_summary_counts_only_enforced_ideal_gap_bounds(capsys):
+    # N = 1: the ideal-gap bound is reported but not enforced, so no trial
+    # counts toward the ideal-gap fields and no negative margin shows.
+    rc = main(["verify", "--topology", "full", "--relays", "1", "--beta", "0.1",
+               "--trials", "2"])
+    assert rc == 0
+    out, _ = capsys.readouterr()
+    (summary,) = out.splitlines()  # without -o, stdout is the summary alone
+    fields = dict(item.split("=") for item in summary.split())
+    assert fields["trials"] == "2" and fields["assumptions_passed"] == "0"
+    assert fields["max_ideal_gap"] == fields["min_ideal_margin"] == "nan"
+    assert float(fields["min_tsn_margin"]) > 0.0
+
+
 # -- sweep -----------------------------------------------------------------
 
 
@@ -426,6 +440,34 @@ def test_sweep_bad_ranges_exit_2(tmp_path, capsys):
                  "--steps", "3"]) == 2
     _, err = capsys.readouterr()
     assert "error:" in err
+
+
+def test_sweep_flags_injected_bug_with_exit_4_and_keeps_earlier_rows(
+        tmp_path, capsys, monkeypatch):
+    _, path = write_instance(tmp_path, topology="diamond", relays=2)
+    real = oc.rate_tsn
+
+    def inflated(instance, space=None):
+        result = real(instance, space)
+        bump = 5.0 if instance.beta >= 0.5 else 0.0
+        return dataclasses.replace(result, value=result.value + bump)
+
+    monkeypatch.setattr(otocap.bounds, "rate_tsn", inflated)
+    report = tmp_path / "sweep.csv"
+    rc = main(["sweep", path, "--param", "beta", "--from", "0", "--to", "1",
+               "--steps", "5", "-o", str(report)])
+    assert rc == 4
+    _, err = capsys.readouterr()
+    assert "theorem violation at beta=0.5: tsn-dominated-by-ideal" in err
+    rows = read_csv(report.read_text())
+    assert [r["sweep_value"] for r in rows] == ["0", "0.25"]
+
+
+def test_sweep_invalid_value_exit_2(tmp_path, capsys):
+    _, path = write_instance(tmp_path, topology="line", relays=1)
+    assert main(["sweep", path, "--param", "power", "--from", "0", "--to", "1"]) == 2
+    _, err = capsys.readouterr()
+    assert "sweep value 0 invalid" in err
 
 
 def test_argparse_rejections_raise_systemexit(tmp_path):
