@@ -32,7 +32,6 @@ from .enumeration import (
     EnumerationCapError,
     StateSpace,
     build_state_space,
-    crossing_matrix,
     enumerate_cuts,
 )
 from .instancegen import GenSpec, friis_amplitude, generate, platooning_instance
@@ -60,12 +59,10 @@ from .model import (
     validate_pattern,
 )
 from .optimize import (
-    EdgeFractions,
     MaxMinProblem,
     Schedule,
     SolverError,
     decompose_edge_fractions,
-    solve_edge_lp,
     solve_maxmin,
 )
 
@@ -79,7 +76,6 @@ __all__ = [
     "Cut",
     "CutBlockTables",
     "EMPTY_PATTERN",
-    "EdgeFractions",
     "EnumerationCapError",
     "GapReport",
     "GenSpec",
@@ -100,7 +96,6 @@ __all__ = [
     "capacity_imperfect",
     "check_assumptions",
     "constant_gap_condition",
-    "crossing_matrix",
     "cut_block_tables",
     "cut_dominance_ratio",
     "cut_state_matrix",
@@ -118,7 +113,6 @@ __all__ = [
     "max_degree",
     "platooning_instance",
     "rate_tsn",
-    "solve_edge_lp",
     "solve_maxmin",
     "tsn_gap_bound",
     "validate_instance",

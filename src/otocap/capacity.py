@@ -145,7 +145,8 @@ def capacity_imperfect(
 def capacity_ideal(inst: NetworkInstance, space: StateSpace | None = None) -> CapacityResult:
     """Approximate capacity of the ideal (zero side-lobe) model.
 
-    ``solve_edge_lp`` reaches the same value over per-link fractions.
+    This is the pattern LP over ideal link rates; the test suite checks
+    it against an independent LP over per-link activation fractions.
     """
     space = space or build_state_space(inst)
     rates = link_rates(inst).ideal

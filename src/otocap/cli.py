@@ -1,8 +1,9 @@
 """Command-line front end: generate, solve, verify and sweep.
 
-Exit codes are stable: 0 success, 2 malformed input or arguments,
-3 instance exceeds an enumeration cap, 4 a computed gap violated a
-bound it should satisfy (always a bug, never silently accepted).
+Exit codes are stable: 0 success, 2 malformed input or arguments or an
+output file that cannot be written, 3 instance exceeds an enumeration
+cap, 4 a computed gap violated a bound it should satisfy (always a bug,
+never silently accepted).
 Standard output carries only machine-readable payloads; everything
 meant for humans goes to standard error.
 
@@ -340,6 +341,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise InstanceFormatError("verify needs at least 1 trial")
     seeds = range(args.seed, args.seed + args.trials)
     cases = ((f"seed {s}", generate(_genspec(args, s)), {"seed": s}) for s in seeds)
     reports = _verify_cases(cases, args.output)
@@ -447,7 +450,7 @@ def main(argv=None) -> int:
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 4
-    except (InstanceFormatError, ValueError) as exc:
+    except (InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,9 @@ every LP in this package has one column per row.
 ``StateSpace`` carries that incidence with the instance's cuts, its
 nonzero links and the cut x link crossing matrix.  Every value table,
 LP row and cut block reads its aligned links from ``incidence`` and its
-crossing links from ``crossing_matrix``; ``StateSpace.patterns`` names a
-row as an ``AlignmentPattern`` only when it is indexed.
+crossing links from ``crossing``, the one statement of which links
+cross a cut; ``StateSpace.patterns`` names a row as an
+``AlignmentPattern`` only when it is indexed.
 
 Everything here is exponential in N, so enumeration is gated by caps.
 The environment variable ``OTO_CAP_MAX_RELAYS`` overrides both caps at
@@ -32,7 +33,6 @@ from .model import AlignmentPattern, Cut, NetworkInstance
 __all__ = [
     "EnumerationCapError",
     "StateSpace",
-    "crossing_matrix",
     "enumerate_cuts",
     "build_state_space",
 ]
@@ -78,18 +78,6 @@ def enumerate_cuts(inst: NetworkInstance) -> list[Cut]:
     return cuts
 
 
-def crossing_matrix(
-    cuts: Sequence[Cut], links: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    """Boolean cut x link matrix: link (i, j) leaves Omega (i in it, j not)."""
-    n_nodes = max((cut.num_relays for cut in cuts), default=0) + 2
-    source_side = np.zeros((len(cuts), n_nodes), dtype=bool)
-    for c, cut in enumerate(cuts):
-        source_side[c, list(cut.omega)] = True
-    tx, rx = np.array(links, dtype=np.intp).reshape(-1, 2).T
-    return source_side[:, tx] & ~source_side[:, rx]
-
-
 class _PatternView(Sequence):
     """Read-only sequence of a state space's patterns, built on access.
 
@@ -133,8 +121,13 @@ class StateSpace:
 
     @cached_property
     def crossing(self) -> np.ndarray:
-        """Read-only boolean cut x link matrix; see ``crossing_matrix``."""
-        crossing = crossing_matrix(self.cuts, self.links)
+        """Read-only boolean cut x link matrix: link (i, j) leaves Omega
+        (i in it, j not)."""
+        source_side = np.zeros((len(self.cuts), self.cuts[0].num_relays + 2), dtype=bool)
+        for c, cut in enumerate(self.cuts):
+            source_side[c, list(cut.omega)] = True
+        tx, rx = np.array(self.links, dtype=np.intp).reshape(-1, 2).T
+        crossing = source_side[:, tx] & ~source_side[:, rx]
         crossing.flags.writeable = False
         return crossing
 

@@ -158,10 +158,6 @@ class NetworkInstance:
     # -- basic topology helpers -------------------------------------------
 
     @property
-    def n_nodes(self) -> int:
-        return self.num_relays + 2
-
-    @property
     def destination(self) -> int:
         return self.num_relays + 1
 
@@ -188,8 +184,10 @@ class NetworkInstance:
         if not 0 <= n <= MAX_RELAYS:
             raise ValueError(f"num_relays must be in [0, {MAX_RELAYS}], got {n}")
         h = np.zeros((n + 2, n + 2), dtype=np.complex128)
+        admissible = admissible_links(n)
         for (i, j), gain in links.items():
-            if not (0 <= i <= n and 1 <= j <= n + 1 and i != j):
+            # range first: a negative index would wrap around the mask
+            if not (0 <= i <= n + 1 and 0 <= j <= n + 1 and admissible[j, i]):
                 raise ValueError(f"link ({i}, {j}) outside valid index ranges")
             h[j, i] = gain
         return cls(n, h, power, alpha, beta, metadata or {})

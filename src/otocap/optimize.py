@@ -1,46 +1,43 @@
-"""Max-min scheduling LPs and edge-fraction decomposition.
+"""Max-min scheduling LP and edge-fraction decomposition.
 
-Two equivalent routes to an optimal schedule:
+The pattern LP optimises a distribution over alignment patterns
+directly: one variable per pattern, one constraint per cut.  It is the
+epigraph LP ``max t  s.t.  (cut value) >= t`` handed to HiGHS via
+scipy.  The solver is deterministic for a fixed input, the reported
+objective is always re-derived from the returned variables (never read
+off solver internals), and the dual certificate is always checked.  The
+LP knows columns, not patterns: it returns the weight vector over its
+columns, and the caller that built the table names the patterns.
 
-* the pattern LP optimises a distribution over alignment patterns
-  directly (one variable per pattern, one constraint per cut), and
-* the edge LP optimises per-link activation fractions under unit
-  transmit/receive budgets, later peeled into a pattern schedule.  Its
-  cut rows come from the same cut x link ``crossing_matrix`` as the
-  pattern LP's value tables.
-
-Both are epigraph LPs ``max t  s.t.  (cut value) >= t`` handed to
-HiGHS via scipy.  The solver is deterministic for a fixed input, the
-reported objective is always re-derived from the returned variables
-(never read off solver internals), and the dual certificate is always
-checked.  The pattern LP knows columns, not patterns: it returns the
-weight vector over its columns, and the caller that built the table
-names the patterns.  Schedules are keyed by ``AlignmentPattern``.
+``decompose_edge_fractions`` peels per-link activation fractions under
+unit transmit/receive budgets into a schedule over partial matchings.
+Schedules are keyed by ``AlignmentPattern``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
 
-from .enumeration import crossing_matrix, enumerate_cuts
-from .model import EMPTY_PATTERN, AlignmentPattern, NetworkInstance
+from .model import EMPTY_PATTERN, AlignmentPattern
 
 __all__ = [
     "MaxMinProblem",
     "Schedule",
-    "EdgeFractions",
     "SolverError",
     "solve_maxmin",
-    "solve_edge_lp",
     "decompose_edge_fractions",
 ]
 
 # weights / fractions below this are snapped to exactly zero
 WEIGHT_FLOOR = 1e-12
+# a fraction or node load may exceed its unit budget by this much
+BUDGET_SLACK = 1e-9
+# a node is tight when its load is within this of the maximum load
+TIGHT_LOAD_TOL = 1e-12
 DUALITY_RTOL = 1e-7
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-9,
@@ -87,21 +84,11 @@ class Schedule:
         return float(sum(self.weights.values()))
 
 
-@dataclass(frozen=True)
-class EdgeFractions:
-    """Per-link activation fractions x[(i, j)] from the edge LP."""
-
-    fractions: dict[tuple[int, int], float]
-
-
 def _check_duality(res, b_ub, b_eq, reported: float) -> None:
     ineq = getattr(res, "ineqlin", None)
-    eq = getattr(res, "eqlin", None)
     if ineq is None or ineq.marginals is None:
         raise SolverError("HiGHS returned no inequality marginals to check the optimum with")
-    dual = float(b_ub @ ineq.marginals)
-    if eq is not None and eq.marginals is not None and len(b_eq):
-        dual += float(b_eq @ eq.marginals)
+    dual = float(b_ub @ ineq.marginals) + float(b_eq @ res.eqlin.marginals)
     gap = abs(res.fun - dual)
     if gap > DUALITY_RTOL * max(1.0, abs(reported)):
         raise SolverError(f"duality gap {gap:.3e} exceeds tolerance at value {reported:.6g}")
@@ -152,60 +139,8 @@ def solve_maxmin(problem: MaxMinProblem) -> np.ndarray:
     return lam
 
 
-def solve_edge_lp(
-    inst: NetworkInstance, rates: Mapping[tuple[int, int], float]
-) -> tuple[float, EdgeFractions]:
-    """Max-min over per-edge activation fractions with unit node budgets.
-
-    Each node may transmit for at most a unit fraction of the time and
-    receive for at most a unit fraction, separately (full duplex).  The
-    constraint x <= 1 is implied by the budgets.  Returns the optimum
-    (recomputed from the cleaned fractions) and the fractions.
-    """
-    edges = sorted(rates)
-    unknown = sorted(set(edges) - set(inst.links()))
-    if unknown:
-        i, j = unknown[0]
-        raise ValueError(f"edge ({i}, {j}) is not a nonzero link of the instance")
-    for e in edges:
-        if rates[e] < 0 or not np.isfinite(rates[e]):
-            raise ValueError(f"rate for edge {e} must be finite and nonnegative")
-    rate_vec = np.array([rates[e] for e in edges])
-    crossing = crossing_matrix(enumerate_cuts(inst), edges)
-    tx, rx = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    # one row per transmitting node, then one per receiving node, ascending
-    budgets = np.vstack([np.unique(tx)[:, None] == tx, np.unique(rx)[:, None] == rx])
-
-    a_ub = np.block([
-        [np.ones((len(crossing), 1)), np.where(crossing, -rate_vec, 0.0)],
-        [np.zeros((len(budgets), 1)), budgets],
-    ])
-    b_ub = np.concatenate([np.zeros(len(crossing)), np.ones(len(budgets))])
-    c = np.zeros(len(edges) + 1)
-    c[0] = -1.0
-    bounds = [(None, None)] + [(0, None)] * len(edges)
-
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_HIGHS_OPTIONS
-    )
-    if res.status != 0:
-        raise SolverError(f"edge LP failed: status {res.status} ({res.message})")
-
-    x = np.maximum(res.x[1:], 0.0)
-    x[x < WEIGHT_FLOOR] = 0.0
-    # keep budgets exactly feasible in the face of solver slack
-    max_load = float(np.max(budgets @ x, initial=0.0))
-    if max_load > 1.0:
-        x /= max_load
-
-    value = float(np.min(crossing @ (rate_vec * x)))
-    _check_duality(res, b_ub, np.zeros(0), value)
-    fractions = {e: float(x[k]) for k, e in enumerate(edges) if x[k] > 0.0}
-    return value, EdgeFractions(fractions=fractions)
-
-
-def decompose_edge_fractions(x: EdgeFractions) -> Schedule:
-    """Peel edge fractions into a schedule over partial matchings.
+def decompose_edge_fractions(x: Mapping[tuple[int, int], float]) -> Schedule:
+    """Peel edge fractions x[(i, j)] into a schedule over partial matchings.
 
     Repeatedly extracts a matching that covers every node whose residual
     tx/rx load attains the current maximum and peels off as much weight
@@ -215,12 +150,12 @@ def decompose_edge_fractions(x: EdgeFractions) -> Schedule:
     promotes a new node to the maximum-load set.  Leftover time goes to
     the empty pattern.  Reproduces every x[e] exactly (to 1e-9).
     """
-    residual = {e: v for e, v in x.fractions.items() if v > WEIGHT_FLOOR}
+    residual = {e: v for e, v in x.items() if v > WEIGHT_FLOOR}
     for e, v in residual.items():
         i, j = e
         if i == j or not (i >= 0 and j >= 1):
             raise ValueError(f"invalid edge {e} in fractions")
-        if v > 1.0 + 1e-9:
+        if v > 1.0 + BUDGET_SLACK:
             raise ValueError(f"fraction for edge {e} exceeds 1: {v}")
 
     weights: dict[AlignmentPattern, float] = {}
@@ -237,13 +172,13 @@ def decompose_edge_fractions(x: EdgeFractions) -> Schedule:
             tx_load[i] += v
             rx_load[j] += v
         l_max = max(max(tx_load.values(), default=0.0), max(rx_load.values(), default=0.0))
-        if l_max > 1.0 + 1e-9:
+        if l_max > 1.0 + BUDGET_SLACK:
             raise ValueError(f"node budget exceeded: maximum load {l_max}")
         if l_max <= WEIGHT_FLOOR:
             break
 
-        tight_tx = {i for i, v in tx_load.items() if v >= l_max - 1e-12}
-        tight_rx = {j for j, v in rx_load.items() if v >= l_max - 1e-12}
+        tight_tx = {i for i, v in tx_load.items() if v >= l_max - TIGHT_LOAD_TOL}
+        tight_rx = {j for j, v in rx_load.items() if v >= l_max - TIGHT_LOAD_TOL}
         matching = _cover_matching(residual, tx_nodes, rx_nodes, tight_tx, tight_rx)
 
         covered_tx = {i for i, _ in matching}

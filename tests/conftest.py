@@ -4,7 +4,9 @@ The oracle helpers deliberately avoid the library's own computation
 paths (the pattern x link incidence enumeration, batched cut-block
 kernel, value-table assembly) so that agreement between the two routes
 is evidence, not tautology.  The raw-state oracle enumerates every
-joint beam configuration and is used by tests only.  The Ostrowski and
+joint beam configuration and is used by tests only.  The edge-fraction
+LP reaches the ideal capacity over per-link fractions, from cuts listed
+by relay bitmask and HiGHS called directly.  The Ostrowski and
 Hadamard-Fischer bounds sandwich the determinant of a diagonally
 dominant Gram matrix, the fact the gap analysis runs on.
 """
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import linprog
 
 import otocap as oc
 
@@ -120,7 +123,7 @@ def enumerate_raw_states(inst, cap=RAW_STATE_MAX_RELAYS):
     dest = inst.destination
     tx_choices = []
     rx_choices = []
-    for v in range(inst.n_nodes):
+    for v in range(dest + 1):
         if v == dest:
             tx_choices.append([None])
         else:
@@ -252,6 +255,50 @@ def linear_table_oracle(space, rates):
     return v
 
 
+def source_sides(num_relays):
+    """Every cut's source side as a set: node 0, plus relay r when bit
+    r-1 of the cut's mask is set."""
+    return [{0} | {r for r in range(1, num_relays + 1) if mask >> (r - 1) & 1}
+            for mask in range(1 << num_relays)]
+
+
+def edge_lp(inst, rates):
+    """(max-min value, {link: fraction}) over per-link activation
+    fractions x with unit node budgets.
+
+    Each node may transmit for at most a unit fraction of the time and
+    receive for at most a unit fraction, separately (full duplex); x <= 1
+    follows.  A cut's value sums rate * x over the links that leave its
+    source side.  Only ``rates`` comes from the library.
+    """
+    edges = sorted(rates)
+    sides = source_sides(inst.num_relays)
+    rate_vec = np.array([rates[e] for e in edges])
+    crossing = np.array([[i in side and j not in side for i, j in edges]
+                         for side in sides], dtype=float)
+    nodes = range(inst.num_relays + 2)
+    budgets = np.array([[i == v for i, _ in edges] for v in nodes]
+                       + [[j == v for _, j in edges] for v in nodes], dtype=float)
+
+    # variables (t, x); maximise t below every cut's value
+    c = np.zeros(len(edges) + 1)
+    c[0] = -1.0
+    a_ub = np.block([[np.ones((len(sides), 1)), -crossing * rate_vec],
+                     [np.zeros((len(budgets), 1)), budgets]])
+    b_ub = np.concatenate([np.zeros(len(sides)), np.ones(len(budgets))])
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None)] + [(0, None)] * len(edges), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-9,
+                           "dual_feasibility_tolerance": 1e-9})
+    assert res.status == 0, res.message
+
+    x = np.maximum(res.x[1:], 0.0)
+    # keep budgets exactly feasible in the face of solver slack
+    x /= max(1.0, float(np.max(budgets @ x, initial=0.0)))
+    value = float(np.min(crossing @ (rate_vec * x)))
+    return value, {e: float(v) for e, v in zip(edges, x) if v > 0.0}
+
+
 def edge_route(inst):
     """The ideal model through the edge LP: (LP value, per-cut values of
     the schedule decomposed from its fractions, that schedule).
@@ -260,12 +307,12 @@ def edge_route(inst):
     the rates of the aligned links that leave the cut's source side.
     """
     rates = oc.link_rates(inst).ideal
-    value, fractions = oc.solve_edge_lp(inst, rates)
+    value, fractions = edge_lp(inst, rates)
     schedule = oc.decompose_edge_fractions(fractions)
     per_cut = np.array([
         sum(w * rates[(i, j)] for pattern, w in schedule.weights.items()
-            for i, j in pattern.pairs if i in cut.omega and j not in cut.omega)
-        for cut in oc.enumerate_cuts(inst)
+            for i, j in pattern.pairs if i in side and j not in side)
+        for side in source_sides(inst.num_relays)
     ])
     return value, per_cut, schedule
 

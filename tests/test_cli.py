@@ -384,6 +384,14 @@ def test_verify_summary_counts_only_enforced_ideal_gap_bounds(capsys):
     assert float(fields["min_tsn_margin"]) > 0.0
 
 
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_verify_trials_below_one_exit_2(capsys, trials):
+    assert main(["verify", "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: verify needs at least 1 trial\n"
+
+
 # -- sweep -----------------------------------------------------------------
 
 
@@ -468,6 +476,22 @@ def test_sweep_invalid_value_exit_2(tmp_path, capsys):
     assert main(["sweep", path, "--param", "power", "--from", "0", "--to", "1"]) == 2
     _, err = capsys.readouterr()
     assert "sweep value 0 invalid" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["gen"],
+    ["capacity", "{instance}"],
+    ["verify", "--trials", "1"],
+    ["sweep", "{instance}", "--param", "beta", "--from", "0", "--to", "1"],
+], ids=["gen", "capacity", "verify", "sweep"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    _, path = write_instance(tmp_path, topology="line", relays=1)
+    output = str(tmp_path / "missing" / "out")
+    args = [arg.format(instance=path) for arg in command]
+    assert main(args + ["-o", output]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and output in err
 
 
 def test_argparse_rejections_raise_systemexit(tmp_path):

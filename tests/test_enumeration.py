@@ -172,16 +172,10 @@ def test_state_space_links_and_incidences_match_set_definitions():
         assert not space.crossing.flags.writeable
 
 
-def test_crossing_matrix_of_no_links_and_of_edge_subsets():
-    inst = diamond_instance()
-    cuts = oc.enumerate_cuts(inst)
-    assert oc.crossing_matrix(cuts, []).shape == (4, 0)
-    # the edge LP passes its edges in its own order; columns follow it
-    edges = [(2, 3), (0, 1)]
-    np.testing.assert_array_equal(
-        oc.crossing_matrix(cuts, edges),
-        [[False, True], [False, False], [True, True], [True, False]],
-    )
+def test_crossing_of_a_linkless_state_space():
+    inst = oc.NetworkInstance.from_links(2, {}, 1.0, 1.0, 0.0)
+    crossing = oc.build_state_space(inst).crossing
+    assert crossing.shape == (4, 0) and crossing.dtype == bool
 
 
 def test_enumeration_is_deterministic():

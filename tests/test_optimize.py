@@ -1,4 +1,4 @@
-"""Max-min LP, edge-fraction LP, and schedule decomposition."""
+"""Max-min LP, the edge-fraction LP oracle, and schedule decomposition."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import otocap as oc
-from conftest import diamond_instance, line_instance, random_instance
+from conftest import diamond_instance, edge_lp, line_instance, random_instance
 
 
 def solve(v):
@@ -77,8 +77,7 @@ def test_maxmin_schedule_self_consistency():
 
 @pytest.mark.parametrize("solve_lp", [
     lambda: solve([[1.0, 0.0], [0.0, 1.0]]),
-    lambda: oc.solve_edge_lp(line_instance(1), {(0, 1): 1.0, (1, 2): 1.0}),
-], ids=["pattern_lp", "edge_lp"])
+], ids=["pattern_lp"])
 def test_missing_marginals_raise_solver_error(monkeypatch, solve_lp):
     real = oc.optimize.linprog
 
@@ -96,25 +95,24 @@ def test_missing_marginals_raise_solver_error(monkeypatch, solve_lp):
 def test_edge_lp_single_link():
     inst = oc.NetworkInstance.from_links(0, {(0, 1): 1.0}, 1.0, 2.0, 0.0)
     rates = {(0, 1): math.log2(5)}
-    value, fractions = oc.solve_edge_lp(inst, rates)
+    value, fractions = edge_lp(inst, rates)
     assert math.isclose(value, math.log2(5), abs_tol=1e-9)
-    assert math.isclose(fractions.fractions[(0, 1)], 1.0, abs_tol=1e-9)
+    assert math.isclose(fractions[(0, 1)], 1.0, abs_tol=1e-9)
 
 
 def test_edge_lp_line_full_duplex():
     inst = line_instance(1)
-    value, fractions = oc.solve_edge_lp(inst, {(0, 1): 1.0, (1, 2): 1.0})
+    value, fractions = edge_lp(inst, {(0, 1): 1.0, (1, 2): 1.0})
     assert math.isclose(value, 1.0, abs_tol=1e-9)
-    assert math.isclose(fractions.fractions[(0, 1)], 1.0, abs_tol=1e-9)
-    assert math.isclose(fractions.fractions[(1, 2)], 1.0, abs_tol=1e-9)
+    assert math.isclose(fractions[(0, 1)], 1.0, abs_tol=1e-9)
+    assert math.isclose(fractions[(1, 2)], 1.0, abs_tol=1e-9)
 
 
 def test_edge_lp_diamond_value_and_budgets():
     inst = diamond_instance()
     rates = {e: 1.0 for e in inst.links()}
-    value, fractions = oc.solve_edge_lp(inst, rates)
+    value, x = edge_lp(inst, rates)
     assert math.isclose(value, 1.0, abs_tol=1e-9)
-    x = fractions.fractions
     for node in range(4):
         assert sum(w for (i, _), w in x.items() if i == node) <= 1 + 1e-9
         assert sum(w for (_, j), w in x.items() if j == node) <= 1 + 1e-9
@@ -123,21 +121,12 @@ def test_edge_lp_diamond_value_and_budgets():
     assert math.isclose(x.get((0, 1), 0.0) + x.get((0, 2), 0.0), 1.0, abs_tol=1e-9)
 
 
-def test_edge_lp_rejects_bad_rates():
-    inst = line_instance(1)
-    with pytest.raises(ValueError):
-        oc.solve_edge_lp(inst, {(0, 1): 1.0, (0, 2): 1.0})  # zero link
-    with pytest.raises(ValueError):
-        oc.solve_edge_lp(inst, {(0, 1): -1.0, (1, 2): 1.0})
-
-
 def test_decompose_trivial_cases():
-    one_edge = oc.EdgeFractions(fractions={(0, 1): 1.0})
-    sched = oc.decompose_edge_fractions(one_edge)
+    sched = oc.decompose_edge_fractions({(0, 1): 1.0})
     assert sched.weights.keys() == {oc.AlignmentPattern(((0, 1),))}
     assert math.isclose(sched.weights[oc.AlignmentPattern(((0, 1),))], 1.0, abs_tol=1e-9)
 
-    sched = oc.decompose_edge_fractions(oc.EdgeFractions(fractions={}))
+    sched = oc.decompose_edge_fractions({})
     assert sched.weights == {oc.EMPTY_PATTERN: 1.0}
 
 
@@ -146,8 +135,7 @@ def test_decompose_diamond_half_fractions():
     # at weight 1/2 (which pair is returned is an implementation choice;
     # both the perfect-matching and the path-matching splits are valid).
     inst = diamond_instance()
-    x = oc.EdgeFractions(fractions={e: 0.5 for e in inst.links()})
-    sched = oc.decompose_edge_fractions(x)
+    sched = oc.decompose_edge_fractions({e: 0.5 for e in inst.links()})
     assert len(sched.weights) == 2
     per_edge = {e: 0.0 for e in inst.links()}
     for pattern, w in sched.weights.items():
@@ -160,7 +148,22 @@ def test_decompose_diamond_half_fractions():
 
 def test_decompose_rejects_budget_violation():
     with pytest.raises(ValueError):
-        oc.decompose_edge_fractions(oc.EdgeFractions(fractions={(0, 1): 0.8, (0, 2): 0.8}))
+        oc.decompose_edge_fractions({(0, 1): 0.8, (0, 2): 0.8})
+
+
+@pytest.mark.parametrize("edge", [(1, 1), (-1, 2), (2, 0)])
+def test_decompose_rejects_invalid_edges(edge):
+    with pytest.raises(ValueError, match="invalid edge"):
+        oc.decompose_edge_fractions({(0, 1): 0.5, edge: 0.5})
+
+
+def test_decompose_rejects_fraction_above_one():
+    slack = oc.optimize.BUDGET_SLACK
+    with pytest.raises(ValueError, match="exceeds 1"):
+        oc.decompose_edge_fractions({(0, 1): 1.0 + 2 * slack})
+    # within the slack a fraction still counts as the full unit budget
+    sched = oc.decompose_edge_fractions({(0, 1): 1.0 + slack / 2})
+    assert list(sched.weights) == [oc.AlignmentPattern(((0, 1),))]
 
 
 def _edge_loads(x):
@@ -184,7 +187,7 @@ def test_decompose_reproduces_random_fractions(seed):
     worst = max(list(tx.values()) + list(rx.values()))
     x = {e: w / max(worst, 1.0) for e, w in raw.items()}
 
-    sched = oc.decompose_edge_fractions(oc.EdgeFractions(fractions=x))
+    sched = oc.decompose_edge_fractions(x)
 
     assert sched.total() <= 1 + 1e-9
     assert all(w > 0 for w in sched.weights.values())
@@ -207,5 +210,5 @@ def test_decompose_saturated_budgets():
     # every node budget exactly tight: the line with x = 1 everywhere
     inst = line_instance(3)
     x = {e: 1.0 for e in inst.links()}
-    sched = oc.decompose_edge_fractions(oc.EdgeFractions(fractions=x))
+    sched = oc.decompose_edge_fractions(x)
     assert sched.weights == {oc.AlignmentPattern(tuple(inst.links())): 1.0}
