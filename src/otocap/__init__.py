@@ -32,7 +32,6 @@ from .enumeration import (
     EnumerationCapError,
     StateSpace,
     build_state_space,
-    enumerate_cuts,
 )
 from .instancegen import GenSpec, friis_amplitude, generate, platooning_instance
 from .matrices import (
@@ -102,7 +101,6 @@ __all__ = [
     "decompose_edge_fractions",
     "dominance_ratio",
     "effective_channel",
-    "enumerate_cuts",
     "friis_amplitude",
     "generate",
     "gram_matrix",

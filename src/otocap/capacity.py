@@ -25,7 +25,7 @@ import numpy as np
 
 from .enumeration import StateSpace, build_state_space
 from .matrices import CutBlockTables, cut_block_tables
-from .model import Cut, NetworkInstance
+from .model import NetworkInstance
 from .optimize import MaxMinProblem, Schedule, solve_maxmin
 
 __all__ = [
@@ -102,16 +102,15 @@ def linear_value_table(
 class CapacityResult:
     """A capacity value with the schedule that achieves it.
 
-    ``per_cut_values`` maps each cut to the value the returned schedule
-    achieves across it; ``value`` is their minimum.  ``blocks`` holds the
-    imperfect model's cut-block tables, whose dominance ratios the
-    assumption check can reuse; it is None for the other models.
+    ``value`` is the least value the schedule achieves across any cut of
+    the state space.  ``blocks`` holds the imperfect model's cut-block
+    tables, whose dominance ratios the assumption check can reuse; it is
+    None for the other models.
     """
 
     value: float
     schedule: Schedule
     model_tag: str
-    per_cut_values: dict[Cut, float]
     blocks: CutBlockTables | None = field(default=None, repr=False, compare=False)
 
 
@@ -123,12 +122,10 @@ def _solve(
 ) -> CapacityResult:
     """Solve the pattern LP; its column k is ``space.patterns[k]``."""
     lam = solve_maxmin(table)
-    per_cut = table.values @ lam
     return CapacityResult(
-        value=float(np.min(per_cut)),
+        value=float(np.min(table.values @ lam)),
         schedule=Schedule({space.patterns[k]: float(lam[k]) for k in np.flatnonzero(lam)}),
         model_tag=tag,
-        per_cut_values={cut: float(per_cut[ck]) for ck, cut in enumerate(space.cuts)},
         blocks=blocks,
     )
 

@@ -2,27 +2,24 @@
 
 Alignment patterns are exactly the partial matchings of the bipartite
 graph (transmitters [0 : N]) x (receivers [1 : N+1]) restricted to
-nonzero links.  ``build_state_space`` enumerates them once, as the rows
-of a boolean pattern x link incidence matrix in canonical order, and
-every LP in this package has one column per row.
+nonzero links; cuts are the 2^N source sides Omega, node 0 plus any set
+of relays.  ``build_state_space`` enumerates both once, in canonical
+order, as the rows of two boolean matrices: a pattern x link
+``incidence`` (one LP column per row) and a cut x node ``source_side``
+(one LP row per row).  Every value table, LP and cut block reads them
+and ``StateSpace.crossing``, the one statement of which links cross a
+cut; ``patterns`` and ``cuts`` name a row as an object only when indexed.
 
-``StateSpace`` carries that incidence with the instance's cuts, its
-nonzero links and the cut x link crossing matrix.  Every value table,
-LP row and cut block reads its aligned links from ``incidence`` and its
-crossing links from ``crossing``, the one statement of which links
-cross a cut; ``StateSpace.patterns`` names a row as an
-``AlignmentPattern`` only when it is indexed.
-
-Everything here is exponential in N, so enumeration is gated by caps.
-The environment variable ``OTO_CAP_MAX_RELAYS`` overrides both caps at
-once for users who accept the blow-up.
+Everything here is exponential in N, so enumeration is refused above a
+relay cap, which the environment variable ``OTO_CAP_MAX_RELAYS``
+overrides for users who accept the blow-up.
 """
 
 from __future__ import annotations
 
 import operator
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,7 +30,6 @@ from .model import AlignmentPattern, Cut, NetworkInstance
 __all__ = [
     "EnumerationCapError",
     "StateSpace",
-    "enumerate_cuts",
     "build_state_space",
 ]
 
@@ -44,56 +40,38 @@ class EnumerationCapError(RuntimeError):
     """Instance exceeds a configured enumeration cap."""
 
 
-# relay counts above which patterns and cuts are not enumerated, unless
-# CAP_ENV_VAR overrides both
-_MAX_PATTERN_RELAYS = 5
-_MAX_CUT_RELAYS = 8
+# relay count above which the state space is not enumerated, unless
+# CAP_ENV_VAR overrides it
+_MAX_RELAYS = 5
 
 
-def _check_cap(what: str, cap: int, n: int) -> None:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is not None:
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise EnumerationCapError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
+def _check_cap(n: int) -> None:
+    raw = os.environ.get(CAP_ENV_VAR, str(_MAX_RELAYS))
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise EnumerationCapError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
     if n > cap:
         raise EnumerationCapError(
-            f"{what} enumeration capped at {cap} relays, got {n} (override with {CAP_ENV_VAR})"
+            f"pattern enumeration capped at {cap} relays, got {n} (override with {CAP_ENV_VAR})"
         )
 
 
-def enumerate_cuts(inst: NetworkInstance) -> list[Cut]:
-    """All 2^N source-side cuts, in bitmask-ascending relay membership.
+@dataclass(frozen=True, eq=False)
+class _RowView(Sequence):
+    """Read-only sequence of a boolean matrix's rows, each named on access.
 
-    Bit r-1 of the mask decides whether relay r sits on the source side,
-    so the first cut is {0} and the last is {0, 1, .., N}.
-    """
-    n = inst.num_relays
-    _check_cap("cut", _MAX_CUT_RELAYS, n)
-    cuts = []
-    for mask in range(1 << n):
-        omega = (0,) + tuple(r for r in range(1, n + 1) if mask >> (r - 1) & 1)
-        cuts.append(Cut(omega, n))
-    return cuts
-
-
-class _PatternView(Sequence):
-    """Read-only sequence of a state space's patterns, built on access.
-
-    Pattern k aligns the links of incidence row k.  Indices must be
-    integers: a slice raises TypeError.
+    Indices must be integers: a slice raises TypeError.
     """
 
-    def __init__(self, space: StateSpace):
-        self._space = space
+    rows: np.ndarray
+    name: Callable[[np.ndarray], object]
 
     def __len__(self) -> int:
-        return len(self._space.incidence)
+        return len(self.rows)
 
-    def __getitem__(self, k) -> AlignmentPattern:
-        row = self._space.incidence[operator.index(k)]
-        return AlignmentPattern(tuple(self._space.links[c] for c in np.flatnonzero(row)))
+    def __getitem__(self, k):
+        return self.name(self.rows[operator.index(k)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,31 +81,37 @@ class StateSpace:
     ``links`` are the instance's nonzero links in ``inst.links()`` order;
     the columns of ``incidence`` and ``crossing`` follow it.  Row p of the
     read-only boolean ``incidence`` marks the links pattern p aligns, and
-    ``patterns[p]`` is that row as an ``AlignmentPattern``.
+    row c of the read-only boolean ``source_side`` (nodes 0..N+1) marks
+    the Omega of cut c; ``patterns[p]`` and ``cuts[c]`` name those rows.
     """
 
     incidence: np.ndarray
-    cuts: tuple[Cut, ...]
+    source_side: np.ndarray
     links: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        incidence = np.array(self.incidence, dtype=bool)
-        incidence.flags.writeable = False
-        object.__setattr__(self, "incidence", incidence)
+        for name in ("incidence", "source_side"):
+            rows = np.array(getattr(self, name), dtype=bool)
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
     @cached_property
     def patterns(self) -> Sequence[AlignmentPattern]:
-        return _PatternView(self)
+        return _RowView(self.incidence, lambda row: AlignmentPattern(
+            tuple(self.links[c] for c in np.flatnonzero(row))))
+
+    @cached_property
+    def cuts(self) -> Sequence[Cut]:
+        num_relays = self.source_side.shape[1] - 2
+        return _RowView(self.source_side,
+                        lambda row: Cut(tuple(np.flatnonzero(row).tolist()), num_relays))
 
     @cached_property
     def crossing(self) -> np.ndarray:
         """Read-only boolean cut x link matrix: link (i, j) leaves Omega
         (i in it, j not)."""
-        source_side = np.zeros((len(self.cuts), self.cuts[0].num_relays + 2), dtype=bool)
-        for c, cut in enumerate(self.cuts):
-            source_side[c, list(cut.omega)] = True
         tx, rx = np.array(self.links, dtype=np.intp).reshape(-1, 2).T
-        crossing = source_side[:, tx] & ~source_side[:, rx]
+        crossing = self.source_side[:, tx] & ~self.source_side[:, rx]
         crossing.flags.writeable = False
         return crossing
 
@@ -155,11 +139,19 @@ def _matching_incidence(n: int, links: tuple[tuple[int, int], ...]) -> np.ndarra
 
 
 def build_state_space(inst: NetworkInstance) -> StateSpace:
-    """Every alignment pattern, cut and nonzero link of an instance, under the caps."""
-    _check_cap("pattern", _MAX_PATTERN_RELAYS, inst.num_relays)
+    """Every alignment pattern, cut and nonzero link of an instance, under the cap.
+
+    Relay r is in the Omega of cut c when bit r-1 of c is set, so the
+    first cut is {0} and the last {0, 1, .., N}.
+    """
+    n = inst.num_relays
+    _check_cap(n)
     links = tuple(inst.links())
+    source_side = np.zeros((1 << n, n + 2), dtype=bool)
+    source_side[:, 0] = True
+    source_side[:, 1:-1] = np.arange(1 << n)[:, None] >> np.arange(n) & 1
     return StateSpace(
-        incidence=_matching_incidence(inst.num_relays, links),
-        cuts=tuple(enumerate_cuts(inst)),
+        incidence=_matching_incidence(n, links),
+        source_side=source_side,
         links=links,
     )

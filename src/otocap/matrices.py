@@ -119,9 +119,8 @@ def cut_block_tables(inst: NetworkInstance, space: StateSpace) -> CutBlockTables
     index = np.empty((len(space.cuts), len(space.patterns)), dtype=np.intp)
     chunks = []
     built = 0
-    for c, cut in enumerate(space.cuts):
-        rows = np.array(cut.complement, dtype=np.intp)
-        cols = np.array(cut.omega, dtype=np.intp)
+    for c, omega in enumerate(space.source_side):
+        rows, cols = np.flatnonzero(~omega), np.flatnonzero(omega)
         crossing = np.flatnonzero(space.crossing[c])
         keys, inverse = _group_rows(space.incidence[:, crossing])
         index[c] = built + inverse

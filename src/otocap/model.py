@@ -234,6 +234,18 @@ def validate_instance(inst: NetworkInstance) -> ValidationReport:
             f"coefficient outside receiver/transmitter range at ({j}, {i})"
         )
 
+    # bounds every signal, noise sum and P sigma^2; Python floats overflow silently
+    lobe = max(inst.alpha, inst.beta)
+    scale = inst.power * lobe * lobe * float(np.vdot(h, h).real)
+    if not report.violations and not np.isfinite(scale):
+        with np.errstate(over="ignore"):
+            gain = np.abs(h)
+        j, i = np.unravel_index(np.argmax(gain), gain.shape)
+        report.violations.append(
+            f"power * max(alpha, beta)^2 * sum |h|^2 overflows: power={inst.power}, alpha="
+            f"{inst.alpha}, beta={inst.beta}, strongest link ({i}, {j}) has |h|={gain[j, i]}"
+        )
+
     if not _destination_reachable(inst):
         report.warnings.append("destination unreachable from source")
     return report

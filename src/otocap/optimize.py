@@ -150,13 +150,15 @@ def decompose_edge_fractions(x: Mapping[tuple[int, int], float]) -> Schedule:
     promotes a new node to the maximum-load set.  Leftover time goes to
     the empty pattern.  Reproduces every x[e] exactly (to 1e-9).
     """
-    residual = {e: v for e, v in x.items() if v > WEIGHT_FLOOR}
-    for e, v in residual.items():
+    for e, v in x.items():
         i, j = e
         if i == j or not (i >= 0 and j >= 1):
             raise ValueError(f"invalid edge {e} in fractions")
+        if not v >= 0.0:
+            raise ValueError(f"fraction for edge {e} must be nonnegative, got {v}")
         if v > 1.0 + BUDGET_SLACK:
             raise ValueError(f"fraction for edge {e} exceeds 1: {v}")
+    residual = {e: v for e, v in x.items() if v > WEIGHT_FLOOR}
 
     weights: dict[AlignmentPattern, float] = {}
     tx_nodes = sorted({i for i, _ in residual})

@@ -183,8 +183,8 @@ def raw_state_capacities(inst):
     library.
     """
     states = enumerate_raw_states(inst)
-    cuts = oc.enumerate_cuts(inst)
     n = inst.num_relays
+    sides = source_sides(n)
 
     rate_ideal = {}
     rate_tsn = {}
@@ -211,19 +211,17 @@ def raw_state_capacities(inst):
                 pairs.append((i, target))
         return pairs
 
-    v_imp = np.zeros((len(cuts), len(states)))
+    v_imp = np.zeros((len(sides), len(states)))
     v_ideal = np.zeros_like(v_imp)
     v_tsn = np.zeros_like(v_imp)
     for si, state in enumerate(states):
         eff = state_effective_channel(inst, state)
         pairs = active_pairs(state)
-        for ci, cut in enumerate(cuts):
-            rows = sorted(cut.complement)
-            cols = sorted(cut.omega)
+        for ci, side in enumerate(sides):
+            rows = [v for v in range(n + 2) if v not in side]
+            cols = sorted(side)
             v_imp[ci, si] = logdet_oracle(eff[np.ix_(rows, cols)], inst.power)
-            crossing = [
-                (i, j) for i, j in pairs if i in cut.omega and j not in cut.omega
-            ]
+            crossing = [(i, j) for i, j in pairs if i in side and j not in side]
             v_ideal[ci, si] = sum(rate_ideal[e] for e in crossing)
             v_tsn[ci, si] = sum(rate_tsn[e] for e in crossing)
 

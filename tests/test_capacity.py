@@ -12,6 +12,7 @@ from conftest import (
     edge_route,
     line_instance,
     linear_table_oracle,
+    per_pair_tables,
     permute_relays,
     random_instance,
     raw_state_capacities,
@@ -164,13 +165,18 @@ def test_imperfect_beats_any_fixed_pattern():
 
 def test_result_self_consistency():
     inst = random_instance(seed=70, relays=2, beta=0.5, alpha=2.0)
-    for result in (
-        oc.capacity_imperfect(inst),
-        oc.capacity_ideal(inst),
-        oc.rate_tsn(inst),
+    space = oc.build_state_space(inst)
+    rates = oc.link_rates(inst)
+    column = {pattern: k for k, pattern in enumerate(space.patterns)}
+    for result, table in (
+        (oc.capacity_imperfect(inst), per_pair_tables(inst, space)[0]),
+        (oc.capacity_ideal(inst), linear_table_oracle(space, rates.ideal)),
+        (oc.rate_tsn(inst), linear_table_oracle(space, rates.tsn)),
     ):
-        assert math.isclose(result.value, min(result.per_cut_values.values()),
-                            abs_tol=1e-6)
+        lam = np.zeros(len(space.patterns))
+        for pattern, weight in result.schedule.weights.items():
+            lam[column[pattern]] = weight
+        assert math.isclose(result.value, float(np.min(table @ lam)), abs_tol=1e-6)
         assert math.isclose(result.schedule.total(), 1.0, abs_tol=1e-9)
         assert result.model_tag in {"imperfect", "ideal", "tsn"}
     value, per_cut, schedule = edge_route(inst)

@@ -527,3 +527,21 @@ def test_module_entry_point_prints_payload(tmp_path):
     helped = _run_module("--help")
     assert helped.returncode == 0
     assert helped.stdout.startswith("usage: otocap")
+
+
+def test_overflowing_gain_exit_2_names_its_inputs(tmp_path):
+    # reported by validation, naming the inputs, before any value table
+    # is built or numpy can warn about the overflow
+    doc = {"num_relays": 1, "power": 1.0, "alpha": 1.0, "beta": 0.3,
+           "links": [{"from": 0, "to": 1, "re": 1e200, "im": 0.0},
+                     {"from": 1, "to": 2, "re": 1.0, "im": 0.0}]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_module("capacity", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: power * max(alpha, beta)^2 * sum |h|^2 overflows: power=1.0, "
+        "alpha=1.0, beta=0.3, strongest link (0, 1) has |h|=1e+200\n"
+    )
+    assert "RuntimeWarning" not in proc.stderr

@@ -12,6 +12,7 @@ from conftest import (
     line_instance,
     pattern_of_state,
     random_instance,
+    source_sides,
     state_space_instances,
 )
 
@@ -24,12 +25,16 @@ def patterns_of(inst):
     return list(oc.build_state_space(inst).patterns)
 
 
+def cuts_of(inst):
+    return oc.build_state_space(inst).cuts
+
+
 def test_cut_counts_and_order():
-    assert omegas(oc.enumerate_cuts(line_instance(0))) == [{0}]
-    assert omegas(oc.enumerate_cuts(line_instance(1))) == [{0}, {0, 1}]
-    n2 = omegas(oc.enumerate_cuts(diamond_instance()))
+    assert omegas(cuts_of(line_instance(0))) == [{0}]
+    assert omegas(cuts_of(line_instance(1))) == [{0}, {0, 1}]
+    n2 = omegas(cuts_of(diamond_instance()))
     assert n2 == [{0}, {0, 1}, {0, 2}, {0, 1, 2}]
-    assert len(oc.enumerate_cuts(line_instance(3))) == 8
+    assert len(cuts_of(line_instance(3))) == 8
 
 
 def test_pattern_list_single_link():
@@ -126,23 +131,13 @@ def test_enumeration_caps_and_env_override(monkeypatch):
         oc.build_state_space(big)
     assert "5" in str(err.value)
 
-    huge = line_instance(9)
-    with pytest.raises(oc.EnumerationCapError):
-        oc.enumerate_cuts(huge)
-
     monkeypatch.setenv(oc.CAP_ENV_VAR, "9")
     assert len(patterns_of(big)) > 0
-    assert len(oc.enumerate_cuts(huge)) == 512
-    monkeypatch.setenv(oc.CAP_ENV_VAR, "8")
-    with pytest.raises(oc.EnumerationCapError) as err:
-        oc.enumerate_cuts(huge)
-    assert "capped at 8 relays, got 9" in str(err.value)
 
     monkeypatch.setenv(oc.CAP_ENV_VAR, "not-a-number")
-    for enumerate_ in (oc.build_state_space, oc.enumerate_cuts):
-        with pytest.raises(oc.EnumerationCapError) as err:
-            enumerate_(line_instance(1))
-        assert "must be an integer" in str(err.value)
+    with pytest.raises(oc.EnumerationCapError) as err:
+        oc.build_state_space(line_instance(1))
+    assert "must be an integer" in str(err.value)
 
 
 def linked_at(space, row):
@@ -168,8 +163,38 @@ def test_state_space_links_and_incidences_match_set_definitions():
             assert linked_at(space, row) == {
                 (i, j) for i, j in nonzero if i in omega and j not in omega
             }
+
+        sides = source_sides(n)
+        assert space.source_side.shape == (len(sides), n + 2) == (len(space.cuts), n + 2)
+        assert space.source_side.dtype == bool
+        for c, side in enumerate(sides):
+            assert set(np.flatnonzero(space.source_side[c]).tolist()) == side
+            assert space.cuts[c].omega == tuple(sorted(side))
         assert not space.incidence.flags.writeable
+        assert not space.source_side.flags.writeable
         assert not space.crossing.flags.writeable
+
+
+def test_only_the_rho_witness_builds_a_cut(monkeypatch):
+    built = []
+    post_init = oc.model.Cut.__post_init__
+
+    def counted(cut):
+        built.append(cut)
+        post_init(cut)
+
+    monkeypatch.setattr(oc.model.Cut, "__post_init__", counted)
+    inst = random_instance(seed=0, relays=3, beta=0.3)
+    space = oc.build_state_space(inst)
+    assert space.crossing.any()
+    oc.cut_block_tables(inst, space)
+    for solve in (oc.capacity_imperfect, oc.capacity_ideal, oc.rate_tsn):
+        solve(inst)
+        solve(inst, space)
+    assert built == []
+
+    report = oc.verify_instance(inst)
+    assert len(built) == 1 and built[0] is report.assumptions.worst[1]
 
 
 def test_crossing_of_a_linkless_state_space():

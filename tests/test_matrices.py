@@ -17,6 +17,7 @@ from conftest import (
     ostrowski_lower_bound,
     per_pair_tables,
     random_instance,
+    source_sides,
 )
 
 
@@ -53,7 +54,8 @@ def test_cut_state_matrix_diamond_two_aligned_on_diagonal():
 
 def test_cut_state_matrix_empty_pattern_beta_zero():
     inst = diamond_instance(beta=0.0)
-    for cut in oc.enumerate_cuts(inst):
+    for side in source_sides(inst.num_relays):
+        cut = oc.Cut(tuple(side), inst.num_relays)
         assert np.all(oc.cut_state_matrix(inst, oc.EMPTY_PATTERN, cut) == 0)
 
 
@@ -302,7 +304,7 @@ def test_kernel_rejects_a_cut_crossed_by_too_many_links():
     inst = oc.NetworkInstance.from_links(14, forward, 1.0, 1.0, 0.1)
     links = tuple(inst.links())
     space = oc.StateSpace(incidence=np.zeros((1, len(links)), dtype=bool),
-                          cuts=(oc.Cut(tuple(range(8)), 14),), links=links)
+                          source_side=[[v < 8 for v in range(16)]], links=links)
     with pytest.raises(oc.EnumerationCapError, match="crossed by 64"):
         oc.cut_block_tables(inst, space)
 

@@ -155,6 +155,9 @@ def test_decompose_rejects_budget_violation():
 def test_decompose_rejects_invalid_edges(edge):
     with pytest.raises(ValueError, match="invalid edge"):
         oc.decompose_edge_fractions({(0, 1): 0.5, edge: 0.5})
+    # checked whatever the fraction, not only above the weight floor
+    with pytest.raises(ValueError, match="invalid edge"):
+        oc.decompose_edge_fractions({(0, 1): 0.5, edge: 0.0})
 
 
 def test_decompose_rejects_fraction_above_one():
@@ -164,6 +167,11 @@ def test_decompose_rejects_fraction_above_one():
     # within the slack a fraction still counts as the full unit budget
     sched = oc.decompose_edge_fractions({(0, 1): 1.0 + slack / 2})
     assert list(sched.weights) == [oc.AlignmentPattern(((0, 1),))]
+    # NaN and negative fractions are malformed input, not idle time
+    with pytest.raises(ValueError, match="must be nonnegative, got nan"):
+        oc.decompose_edge_fractions({(0, 1): float("nan")})
+    with pytest.raises(ValueError, match="must be nonnegative, got -0.5"):
+        oc.decompose_edge_fractions({(0, 1): -0.5, (1, 2): 0.5})
 
 
 def _edge_loads(x):
