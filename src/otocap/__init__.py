@@ -50,11 +50,9 @@ from .model import (
     Cut,
     InvalidPatternError,
     NetworkInstance,
-    ValidationReport,
     admissible_links,
     effective_channel,
     max_degree,
-    validate_instance,
     validate_pattern,
 )
 from .optimize import (
@@ -88,7 +86,6 @@ __all__ = [
     "SolverError",
     "StateSpace",
     "TheoremViolationError",
-    "ValidationReport",
     "admissible_links",
     "build_state_space",
     "capacity_ideal",
@@ -113,7 +110,6 @@ __all__ = [
     "rate_tsn",
     "solve_maxmin",
     "tsn_gap_bound",
-    "validate_instance",
     "validate_pattern",
     "verify_instance",
 ]

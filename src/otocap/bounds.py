@@ -63,7 +63,7 @@ class AssumptionReport:
     main_lobe_violations: tuple[tuple[int, int, int], ...]
     diagonally_dominant: bool
     max_rho: float
-    worst: tuple[AlignmentPattern, Cut, float] | None
+    worst: tuple[AlignmentPattern, Cut, float]
 
     @property
     def both_hold(self) -> bool:

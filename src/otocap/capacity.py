@@ -86,9 +86,7 @@ def imperfect_value_table(inst: NetworkInstance, space: StateSpace) -> CutBlockT
 
 
 def linear_value_table(
-    inst: NetworkInstance,
-    space: StateSpace,
-    rates: dict[tuple[int, int], float],
+    space: StateSpace, rates: dict[tuple[int, int], float]
 ) -> MaxMinProblem:
     """V[cut, pattern] = sum of per-link rates over aligned cross-cut links.
 
@@ -147,11 +145,11 @@ def capacity_ideal(inst: NetworkInstance, space: StateSpace | None = None) -> Ca
     """
     space = space or build_state_space(inst)
     rates = link_rates(inst).ideal
-    return _solve(space, linear_value_table(inst, space, rates), "ideal")
+    return _solve(space, linear_value_table(space, rates), "ideal")
 
 
 def rate_tsn(inst: NetworkInstance, space: StateSpace | None = None) -> CapacityResult:
     """Achievable rate when side-lobe leakage is treated as noise."""
     space = space or build_state_space(inst)
     rates = link_rates(inst).tsn
-    return _solve(space, linear_value_table(inst, space, rates), "tsn")
+    return _solve(space, linear_value_table(space, rates), "tsn")

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import MAX_RELAYS, NetworkInstance, admissible_links, validate_instance
+from .model import MAX_RELAYS, NetworkInstance, admissible_links
 
 __all__ = [
     "GenSpec",
@@ -76,11 +76,10 @@ def _topology_links(spec: GenSpec, rng: np.random.Generator) -> list[tuple[int, 
         return [(0, 1), (0, 2), (1, 3), (2, 3)]
     if spec.topology == "full":
         return _full_links(n)
-    if spec.topology == "random":
-        candidates = _full_links(n)
-        keep = rng.random(len(candidates)) < spec.edge_probability
-        return [e for e, k in zip(candidates, keep) if k]
-    raise ValueError(f"unknown topology {spec.topology!r}")
+    # "random": generate has checked the name against TOPOLOGIES
+    candidates = _full_links(n)
+    keep = rng.random(len(candidates)) < spec.edge_probability
+    return [e for e, k in zip(candidates, keep) if k]
 
 
 def _link_distance(spec: GenSpec, i: int, j: int) -> float:
@@ -97,12 +96,11 @@ def _gains(
     if spec.channel == "rayleigh":
         draws = rng.normal(0.0, np.sqrt(spec.scale / 2.0), size=(len(links), 2))
         return {e: complex(re, im) for e, (re, im) in zip(links, draws)}
-    if spec.channel == "los":
-        return {
-            (i, j): complex(friis_amplitude(_link_distance(spec, i, j), spec.frequency_ghz))
-            for i, j in links
-        }
-    raise ValueError(f"unknown channel model {spec.channel!r}")
+    # "los": generate has checked the name against CHANNELS
+    return {
+        (i, j): complex(friis_amplitude(_link_distance(spec, i, j), spec.frequency_ghz))
+        for i, j in links
+    }
 
 
 def generate(spec: GenSpec) -> NetworkInstance:
@@ -111,6 +109,9 @@ def generate(spec: GenSpec) -> NetworkInstance:
     The random stream is consumed in a fixed order (topology keep
     decisions over the canonical link list first, then channel draws per
     kept link), so adding links never reshuffles unrelated draws.
+    Raises ValueError for a spec outside the generator's ranges, or with
+    the ``NetworkInstance`` constructor's text when the instance would be
+    invalid.
     """
     if spec.topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {spec.topology!r}")
@@ -134,13 +135,9 @@ def generate(spec: GenSpec) -> NetworkInstance:
         "rng": "numpy.random.Philox",
         "numpy_version": np.__version__,
     }
-    inst = NetworkInstance.from_links(
+    return NetworkInstance.from_links(
         spec.relays, gains, spec.power, spec.alpha, spec.beta, metadata=meta
     )
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError(f"generated instance invalid: {report.violations}")
-    return inst
 
 
 def platooning_instance(

@@ -12,13 +12,13 @@ as ``channel[j, i]`` = coefficient of the link i -> j.  Only the block
 with receivers in [1 : N+1] and transmitters in [0 : N] is meaningful;
 everything outside it is identically zero (the source never receives,
 the destination never transmits, no node has a self-channel).
-``admissible_links`` is that block as a mask; links, degrees and
-validation read it.
+``admissible_links`` is that block as a mask; links, degrees and the
+``NetworkInstance`` constructor read it, so an instance that breaks the
+model cannot be built.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +28,7 @@ __all__ = [
     "NetworkInstance",
     "AlignmentPattern",
     "Cut",
-    "ValidationReport",
     "InvalidPatternError",
-    "validate_instance",
     "validate_pattern",
     "admissible_links",
     "max_degree",
@@ -130,7 +128,17 @@ class Cut:
 
 @dataclass(frozen=True)
 class NetworkInstance:
-    """Immutable problem instance: topology, gains and transmit power."""
+    """Immutable problem instance: topology, gains and transmit power.
+
+    Construction (``from_links`` and ``dataclasses.replace`` included)
+    raises ValueError naming every violation, joined by "; ": a
+    non-finite channel entry, a power or ``alpha`` that is not positive
+    and finite, a ``beta`` that is not nonnegative and finite, and a
+    coefficient off the 1-2-1 link set.  When none of these is found,
+    an instance whose P * max(alpha, beta)^2 * sum |h|^2 overflows is
+    rejected too.  An unreachable destination is valid: the instance
+    has zero capacity.
+    """
 
     num_relays: int
     channel: np.ndarray
@@ -154,6 +162,37 @@ class NetworkInstance:
         object.__setattr__(self, "power", float(self.power))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
+
+        violations = []
+        if not np.all(np.isfinite(h.view(np.float64))):
+            violations.append("channel contains non-finite entries")
+        if self.power <= 0 or not np.isfinite(self.power):
+            violations.append(f"power must be positive, got {self.power}")
+        if self.alpha <= 0 or not np.isfinite(self.alpha):
+            violations.append(f"alpha must be positive, got {self.alpha}")
+        if self.beta < 0 or not np.isfinite(self.beta):
+            violations.append(f"beta must be nonnegative, got {self.beta}")
+
+        misplaced = (h != 0) & ~admissible_links(n)
+        for v in np.flatnonzero(np.diag(misplaced)).tolist():
+            violations.append(f"self-channel at node {v}")
+        np.fill_diagonal(misplaced, False)
+        for j, i in np.argwhere(misplaced).tolist():
+            violations.append(f"coefficient outside receiver/transmitter range at ({j}, {i})")
+
+        # bounds every signal, noise sum and P sigma^2; Python floats overflow silently
+        lobe = max(self.alpha, self.beta)
+        scale = self.power * lobe * lobe * float(np.vdot(h, h).real)
+        if not violations and not np.isfinite(scale):
+            with np.errstate(over="ignore"):
+                gain = np.abs(h)
+            j, i = np.unravel_index(np.argmax(gain), gain.shape)
+            violations.append(
+                f"power * max(alpha, beta)^2 * sum |h|^2 overflows: power={self.power}, alpha="
+                f"{self.alpha}, beta={self.beta}, strongest link ({i}, {j}) has |h|={gain[j, i]}"
+            )
+        if violations:
+            raise ValueError("; ".join(violations))
 
     # -- basic topology helpers -------------------------------------------
 
@@ -191,79 +230,6 @@ class NetworkInstance:
                 raise ValueError(f"link ({i}, {j}) outside valid index ranges")
             h[j, i] = gain
         return cls(n, h, power, alpha, beta, metadata or {})
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of validate_instance: hard violations plus soft warnings."""
-
-    violations: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_instance(inst: NetworkInstance) -> ValidationReport:
-    """Check all structural invariants of an instance.
-
-    Unreachability of the destination is reported as a warning, not a
-    violation: an instance with no source-destination path is valid and
-    simply has zero capacity.
-    """
-    report = ValidationReport()
-    n = inst.num_relays
-    h = inst.channel
-
-    if not np.all(np.isfinite(h.view(np.float64))):
-        report.violations.append("channel contains non-finite entries")
-    if inst.power <= 0 or not np.isfinite(inst.power):
-        report.violations.append(f"power must be positive, got {inst.power}")
-    if inst.alpha <= 0 or not np.isfinite(inst.alpha):
-        report.violations.append(f"alpha must be positive, got {inst.alpha}")
-    if inst.beta < 0 or not np.isfinite(inst.beta):
-        report.violations.append(f"beta must be nonnegative, got {inst.beta}")
-
-    misplaced = (h != 0) & ~admissible_links(n)
-    for v in np.flatnonzero(np.diag(misplaced)).tolist():
-        report.violations.append(f"self-channel at node {v}")
-    np.fill_diagonal(misplaced, False)
-    for j, i in np.argwhere(misplaced).tolist():
-        report.violations.append(
-            f"coefficient outside receiver/transmitter range at ({j}, {i})"
-        )
-
-    # bounds every signal, noise sum and P sigma^2; Python floats overflow silently
-    lobe = max(inst.alpha, inst.beta)
-    scale = inst.power * lobe * lobe * float(np.vdot(h, h).real)
-    if not report.violations and not np.isfinite(scale):
-        with np.errstate(over="ignore"):
-            gain = np.abs(h)
-        j, i = np.unravel_index(np.argmax(gain), gain.shape)
-        report.violations.append(
-            f"power * max(alpha, beta)^2 * sum |h|^2 overflows: power={inst.power}, alpha="
-            f"{inst.alpha}, beta={inst.beta}, strongest link ({i}, {j}) has |h|={gain[j, i]}"
-        )
-
-    if not _destination_reachable(inst):
-        report.warnings.append("destination unreachable from source")
-    return report
-
-
-def _destination_reachable(inst: NetworkInstance) -> bool:
-    links_from = inst.link_mask().T.tolist()
-    seen = {0}
-    frontier = deque([0])
-    while frontier:
-        u = frontier.popleft()
-        if u == inst.destination:
-            return True
-        for v, linked in enumerate(links_from[u]):
-            if linked and v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return False
 
 
 def max_degree(inst: NetworkInstance) -> int:

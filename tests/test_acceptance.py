@@ -300,7 +300,7 @@ def test_criterion_9_hand_derived_values():
     ok = ok and abs(v_ideal - 1.0) <= EXACT_TOL
     # the half-and-half schedule over the two disjoint perfect matchings
     # achieves the optimum when evaluated on the linear rate table
-    table = oc.linear_value_table(diamond, space, oc.link_rates(diamond).ideal)
+    table = oc.linear_value_table(space, oc.link_rates(diamond).ideal)
     index = {tuple(p.pairs): k for k, p in enumerate(space.patterns)}
     lam = np.zeros(len(space.patterns))
     lam[index[((0, 1), (2, 3))]] = 0.5

@@ -92,6 +92,10 @@ def test_capacity_single_hop():
     value, per_cut, _ = edge_route(inst)
     assert math.isclose(value, math.log2(5), abs_tol=1e-9)
     assert math.isclose(per_cut.min(), math.log2(5), abs_tol=1e-9)
+    # a hop that stops short of the destination is valid and carries nothing
+    stub = oc.NetworkInstance.from_links(1, {(0, 1): 1.0}, 1.0, 2.0, 0.3)
+    for solve in (oc.capacity_imperfect, oc.capacity_ideal, oc.rate_tsn):
+        assert solve(stub).value == 0.0
 
 
 def test_capacity_line_one_bit():
@@ -200,7 +204,7 @@ def test_linear_value_table_matches_set_based_oracle():
         space = oc.build_state_space(inst)
         rates = oc.link_rates(inst)
         for model_rates in (rates.ideal, rates.tsn):
-            got = oc.linear_value_table(inst, space, model_rates).values
+            got = oc.linear_value_table(space, model_rates).values
             want = linear_table_oracle(space, model_rates)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 

@@ -222,6 +222,10 @@ def test_gen_invalid_spec_exit_2(capsys):
     assert main(["gen", "--topology", "diamond", "--relays", "3"]) == 2
     _, err = capsys.readouterr()
     assert "error:" in err
+    assert main(["gen", "--power", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: power must be positive, got -1.0\n"
 
 
 # -- capacity --------------------------------------------------------------

@@ -52,9 +52,6 @@ def test_random_probability_extremes():
     empty = oc.generate(oc.GenSpec(topology="random", relays=2,
                                    edge_probability=0.0, seed=1))
     assert nonzero_links(empty) == set()
-    report = oc.validate_instance(empty)
-    assert report.ok
-    assert any("unreachable" in w for w in report.warnings)
 
     dense = oc.generate(oc.GenSpec(topology="random", relays=3,
                                    edge_probability=1.0, seed=5))

@@ -42,26 +42,19 @@ def test_from_links_rejects_bad_indices():
         oc.NetworkInstance.from_links(1, {(1, 1): 1.0}, 1.0, 1.0, 0.0)
 
 
-def test_validate_clean_line_is_empty_report():
-    report = oc.validate_instance(line_instance(1))
-    assert report.ok
-    assert report.violations == []
-    assert report.warnings == []
-
-
 def test_validate_flags_self_channel():
     channel = np.zeros((3, 3), dtype=np.complex128)
     channel[1, 0] = 1.0
     channel[2, 1] = 1.0
     channel[1, 1] = 0.5
-    inst = oc.NetworkInstance(1, channel, 1.0, 1.0, 0.0)
-    report = oc.validate_instance(inst)
-    assert not report.ok
-    assert report.violations == ["self-channel at node 1"]
+    with pytest.raises(ValueError) as exc:
+        oc.NetworkInstance(1, channel, 1.0, 1.0, 0.0)
+    assert str(exc.value) == "self-channel at node 1"
     # the source and the destination have no self-channel either
     channel[0, 0] = channel[2, 2] = 0.5
-    report = oc.validate_instance(oc.NetworkInstance(1, channel, 1.0, 1.0, 0.0))
-    assert report.violations == [f"self-channel at node {v}" for v in range(3)]
+    with pytest.raises(ValueError) as exc:
+        oc.NetworkInstance(1, channel, 1.0, 1.0, 0.0)
+    assert str(exc.value) == "; ".join(f"self-channel at node {v}" for v in range(3))
 
 
 def test_validate_flags_out_of_range_coefficients():
@@ -70,25 +63,37 @@ def test_validate_flags_out_of_range_coefficients():
     channel[2, 1] = 1.0
     channel[0, 1] = 0.7  # node 0 is not a receiver
     channel[1, 2] = 0.7  # node 2 is not a transmitter
-    inst = oc.NetworkInstance(1, channel, 1.0, 1.0, 0.0)
-    report = oc.validate_instance(inst)
-    assert len(report.violations) == 2
-    assert all("outside receiver/transmitter range" in v for v in report.violations)
+    with pytest.raises(ValueError) as exc:
+        oc.NetworkInstance(1, channel, 1.0, 1.0, 0.0)
+    assert str(exc.value) == (
+        "coefficient outside receiver/transmitter range at (0, 1); "
+        "coefficient outside receiver/transmitter range at (1, 2)"
+    )
 
 
 def test_validate_flags_bad_parameters():
     channel = np.zeros((2, 2), dtype=np.complex128)
     channel[1, 0] = 1.0
-    report = oc.validate_instance(oc.NetworkInstance(0, channel, -1.0, 0.0, -0.5))
-    joined = " ".join(report.violations)
-    assert "power" in joined and "alpha" in joined and "beta" in joined
-
-
-def test_validate_warns_unreachable_destination():
-    inst = oc.NetworkInstance.from_links(1, {(0, 1): 1.0}, 1.0, 1.0, 0.0)
-    report = oc.validate_instance(inst)
-    assert report.ok
-    assert report.warnings == ["destination unreachable from source"]
+    with pytest.raises(ValueError) as exc:
+        oc.NetworkInstance(0, channel, -1.0, 0.0, -0.5)
+    assert str(exc.value) == (
+        "power must be positive, got -1.0; alpha must be positive, got 0.0; "
+        "beta must be nonnegative, got -0.5"
+    )
+    # every way of building an instance runs the same checks
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(line_instance(1), power=0.0)
+    assert str(exc.value) == "power must be positive, got 0.0"
+    with pytest.raises(ValueError) as exc:
+        oc.platooning_instance(2, beta=-1.0)
+    assert str(exc.value) == "beta must be nonnegative, got -1.0"
+    # alpha**2 would raise a bare OverflowError later, in link_rates
+    with pytest.raises(ValueError) as exc:
+        oc.NetworkInstance.from_links(1, {(0, 1): 1.0, (1, 2): 1.0}, 1.0, 1e200, 0.0)
+    assert str(exc.value) == (
+        "power * max(alpha, beta)^2 * sum |h|^2 overflows: power=1.0, alpha=1e+200, "
+        "beta=0.0, strongest link (0, 1) has |h|=1.0"
+    )
 
 
 def test_max_degree_hand_values():
@@ -101,7 +106,7 @@ def test_max_degree_hand_values():
 
 
 def test_link_rule_readers_match_set_definitions():
-    """links(), max_degree and validate_instance against the 1-2-1 link
+    """links(), max_degree and the constructor against the 1-2-1 link
     rule written out as sets: transmitters [0 : N], receivers [1 : N+1],
     no self-links."""
     for inst in state_space_instances():
@@ -115,13 +120,13 @@ def test_link_rule_readers_match_set_definitions():
                    for v in nodes]
         assert oc.max_degree(inst) == max(degrees)
 
-        assert oc.validate_instance(inst).violations == []
-        filled = dataclasses.replace(inst, channel=np.ones((n + 2, n + 2)))
         expected = [f"self-channel at node {v}" for v in nodes] + [
             f"coefficient outside receiver/transmitter range at ({j}, {i})"
             for j in nodes for i in nodes if i != j and (i, j) not in admissible
         ]
-        assert sorted(oc.validate_instance(filled).violations) == sorted(expected)
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(inst, channel=np.ones((n + 2, n + 2)))
+        assert sorted(str(exc.value).split("; ")) == sorted(expected)
 
 
 def test_effective_channel_line_example():
