@@ -11,8 +11,14 @@ Three max-min objectives share one LP core and differ only in how a
   discounted by the worst-case side-lobe leakage treated as noise
   (treat-side-lobes-as-noise).
 
-The two linear models' tables are one product over the state space's
-cut x link crossing and pattern x link incidence matrices.
+The two linear models value a pattern on a cut as a sum of nonnegative
+link rates, so a pattern is never worth more than a maximal matching
+that contains it.  Their LPs therefore have one column per maximal
+matching (``StateSpace.maximal``) and the same optimum as over every
+pattern; their tables are one product over the state space's cut x link
+crossing and the maximal rows of its pattern x link incidence.  The
+imperfect model has no such order (an aligned link can lower a cut's
+log-det), so its LP keeps one column per pattern.
 
 All rates are bits per channel use, logs base 2.
 """
@@ -88,12 +94,15 @@ def imperfect_value_table(inst: NetworkInstance, space: StateSpace) -> CutBlockT
 def linear_value_table(
     space: StateSpace, rates: dict[tuple[int, int], float]
 ) -> MaxMinProblem:
-    """V[cut, pattern] = sum of per-link rates over aligned cross-cut links.
+    """V[cut, k] = sum of per-link rates over aligned cross-cut links.
 
-    ``rates`` must hold a rate for every link in ``space.links``.
+    Column k is the k-th maximal matching, the pattern
+    ``space.patterns[np.flatnonzero(space.maximal)[k]]``; the other
+    patterns have no column.  ``rates`` must hold a rate for every link
+    in ``space.links``.
     """
     rate_vec = np.array([rates[e] for e in space.links])
-    return MaxMinProblem(values=(space.crossing * rate_vec) @ space.incidence.T)
+    return MaxMinProblem(values=(space.crossing * rate_vec) @ space.incidence[space.maximal].T)
 
 
 @dataclass(frozen=True)
@@ -116,13 +125,18 @@ def _solve(
     space: StateSpace,
     table: MaxMinProblem,
     tag: str,
+    columns: np.ndarray,
     blocks: CutBlockTables | None = None,
 ) -> CapacityResult:
-    """Solve the pattern LP; its column k is ``space.patterns[k]``."""
+    """Solve the pattern LP; its column k is ``space.patterns[columns[k]]``.
+
+    ``columns`` ascends, so the schedule stays in canonical pattern order.
+    """
     lam = solve_maxmin(table)
     return CapacityResult(
         value=float(np.min(table.values @ lam)),
-        schedule=Schedule({space.patterns[k]: float(lam[k]) for k in np.flatnonzero(lam)}),
+        schedule=Schedule({space.patterns[columns[k]]: float(lam[k])
+                           for k in np.flatnonzero(lam)}),
         model_tag=tag,
         blocks=blocks,
     )
@@ -134,22 +148,28 @@ def capacity_imperfect(
     """Approximate capacity of the side-lobe (imperfect beamforming) model."""
     space = space or build_state_space(inst)
     blocks = imperfect_value_table(inst, space)
-    return _solve(space, MaxMinProblem(values=blocks.values), "imperfect", blocks)
+    columns = np.arange(len(space.patterns))
+    return _solve(space, MaxMinProblem(values=blocks.values), "imperfect", columns, blocks)
 
 
 def capacity_ideal(inst: NetworkInstance, space: StateSpace | None = None) -> CapacityResult:
     """Approximate capacity of the ideal (zero side-lobe) model.
 
-    This is the pattern LP over ideal link rates; the test suite checks
-    it against an independent LP over per-link activation fractions.
+    This is the pattern LP over ideal link rates, with one column per
+    maximal matching, so the schedule uses maximal matchings only; the
+    test suite checks it against an independent LP over per-link
+    activation fractions.
     """
     space = space or build_state_space(inst)
     rates = link_rates(inst).ideal
-    return _solve(space, linear_value_table(space, rates), "ideal")
+    return _solve(space, linear_value_table(space, rates), "ideal", np.flatnonzero(space.maximal))
 
 
 def rate_tsn(inst: NetworkInstance, space: StateSpace | None = None) -> CapacityResult:
-    """Achievable rate when side-lobe leakage is treated as noise."""
+    """Achievable rate when side-lobe leakage is treated as noise.
+
+    Like ``capacity_ideal``, its LP has one column per maximal matching.
+    """
     space = space or build_state_space(inst)
     rates = link_rates(inst).tsn
-    return _solve(space, linear_value_table(space, rates), "tsn")
+    return _solve(space, linear_value_table(space, rates), "tsn", np.flatnonzero(space.maximal))

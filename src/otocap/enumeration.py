@@ -5,10 +5,12 @@ graph (transmitters [0 : N]) x (receivers [1 : N+1]) restricted to
 nonzero links; cuts are the 2^N source sides Omega, node 0 plus any set
 of relays.  ``build_state_space`` enumerates both once, in canonical
 order, as the rows of two boolean matrices: a pattern x link
-``incidence`` (one LP column per row) and a cut x node ``source_side``
-(one LP row per row).  Every value table, LP and cut block reads them
-and ``StateSpace.crossing``, the one statement of which links cross a
-cut; ``patterns`` and ``cuts`` name a row as an object only when indexed.
+``incidence`` and a cut x node ``source_side`` (one LP row per row).
+Every value table, LP and cut block reads them and
+``StateSpace.crossing``, the one statement of which links cross a cut;
+``StateSpace.maximal`` marks the maximal matchings, the only columns
+the linear models' LPs need.  ``patterns`` and ``cuts`` name a row as
+an object only when indexed.
 
 Everything here is exponential in N, so enumeration is refused above a
 relay cap, which the environment variable ``OTO_CAP_MAX_RELAYS``
@@ -83,6 +85,7 @@ class StateSpace:
     read-only boolean ``incidence`` marks the links pattern p aligns, and
     row c of the read-only boolean ``source_side`` (nodes 0..N+1) marks
     the Omega of cut c; ``patterns[p]`` and ``cuts[c]`` name those rows.
+    ``crossing`` and ``maximal`` are derived from them on first access.
     """
 
     incidence: np.ndarray
@@ -114,6 +117,22 @@ class StateSpace:
         crossing = self.source_side[:, tx] & ~self.source_side[:, rx]
         crossing.flags.writeable = False
         return crossing
+
+    @cached_property
+    def maximal(self) -> np.ndarray:
+        """Read-only boolean per ``incidence`` row: the pattern is a maximal
+        matching, that is no link has both its transmitter and its receiver
+        free."""
+        tx, rx = np.array(self.links, dtype=np.intp).reshape(-1, 2).T
+        rows, nodes = len(self.incidence), self.source_side.shape[1]
+        p, k = np.nonzero(self.incidence)
+        busy_tx = np.zeros((rows, nodes), dtype=bool)
+        busy_rx = np.zeros((rows, nodes), dtype=bool)
+        busy_tx[p, tx[k]] = True
+        busy_rx[p, rx[k]] = True
+        maximal = (busy_tx[:, tx] | busy_rx[:, rx]).all(axis=1)
+        maximal.flags.writeable = False
+        return maximal
 
 
 def _matching_incidence(n: int, links: tuple[tuple[int, int], ...]) -> np.ndarray:

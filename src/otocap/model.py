@@ -19,6 +19,7 @@ model cannot be built.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,18 @@ __all__ = [
 # Largest relay count an instance may have, checked before the dense
 # (N+2) x (N+2) complex channel (16 MB at this limit) is allocated.
 MAX_RELAYS = 1000
+
+
+def _check_relay_count(num_relays) -> int:
+    """``num_relays`` as an int, or ValueError unless it is an integer in
+    [0, MAX_RELAYS]; numpy integers pass, floats do not."""
+    try:
+        n = operator.index(num_relays)
+        if 0 <= n <= MAX_RELAYS:
+            return n
+    except TypeError:
+        pass
+    raise ValueError(f"num_relays must be in [0, {MAX_RELAYS}], got {num_relays}")
 
 
 def admissible_links(num_relays: int) -> np.ndarray:
@@ -131,7 +144,9 @@ class NetworkInstance:
     """Immutable problem instance: topology, gains and transmit power.
 
     Construction (``from_links`` and ``dataclasses.replace`` included)
-    raises ValueError naming every violation, joined by "; ": a
+    raises ValueError when ``num_relays`` is not an integer in
+    [0, MAX_RELAYS] or ``channel`` is not (N+2) x (N+2).  It then raises
+    ValueError naming every other violation, joined by "; ": a
     non-finite channel entry, a power or ``alpha`` that is not positive
     and finite, a ``beta`` that is not nonnegative and finite, and a
     coefficient off the 1-2-1 link set.  When none of these is found,
@@ -148,9 +163,7 @@ class NetworkInstance:
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        n = int(self.num_relays)
-        if n < 0:
-            raise ValueError("num_relays must be >= 0")
+        n = _check_relay_count(self.num_relays)
         h = np.array(self.channel, dtype=np.complex128)
         if h.shape != (n + 2, n + 2):
             raise ValueError(
@@ -219,9 +232,7 @@ class NetworkInstance:
         metadata: dict | None = None,
     ) -> "NetworkInstance":
         """Build an instance from a sparse {(i, j): h_ji} link map."""
-        n = num_relays
-        if not 0 <= n <= MAX_RELAYS:
-            raise ValueError(f"num_relays must be in [0, {MAX_RELAYS}], got {n}")
+        n = _check_relay_count(num_relays)
         h = np.zeros((n + 2, n + 2), dtype=np.complex128)
         admissible = admissible_links(n)
         for (i, j), gain in links.items():

@@ -244,13 +244,32 @@ def state_space_instances():
 def linear_table_oracle(space, rates):
     """V[cut, pattern] summed pair by pair: the rates of a pattern's
     aligned links that leave the cut's source side, by set membership."""
-    v = np.zeros((len(space.cuts), len(space.patterns)))
+    patterns = list(space.patterns)
+    v = np.zeros((len(space.cuts), len(patterns)))
     for ck, cut in enumerate(space.cuts):
         omega = set(cut.omega)
-        for pk, pattern in enumerate(space.patterns):
+        for pk, pattern in enumerate(patterns):
             v[ck, pk] = sum(rates[(i, j)] for i, j in pattern.pairs
                             if i in omega and j not in omega)
     return v
+
+
+def maximal_oracle(space):
+    """Per pattern, by set membership: True when no link of the state
+    space has both its transmitter and its receiver unused."""
+    maximal = []
+    for pattern in space.patterns:
+        txs = {i for i, _ in pattern.pairs}
+        rxs = {j for _, j in pattern.pairs}
+        maximal.append(all(i in txs or j in rxs for i, j in space.links))
+    return np.array(maximal, dtype=bool)
+
+
+def full_table_value(space, rates):
+    """Max-min value of a linear model's LP with a column for every
+    pattern, maximal or not."""
+    v = linear_table_oracle(space, rates)
+    return float(np.min(v @ oc.solve_maxmin(oc.MaxMinProblem(v))))
 
 
 def source_sides(num_relays):

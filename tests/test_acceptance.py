@@ -299,10 +299,12 @@ def test_criterion_9_hand_derived_values():
     v_ideal = oc.capacity_ideal(diamond, space=space).value
     ok = ok and abs(v_ideal - 1.0) <= EXACT_TOL
     # the half-and-half schedule over the two disjoint perfect matchings
-    # achieves the optimum when evaluated on the linear rate table
+    # achieves the optimum when evaluated on the linear rate table, whose
+    # columns are the maximal patterns
     table = oc.linear_value_table(space, oc.link_rates(diamond).ideal)
-    index = {tuple(p.pairs): k for k, p in enumerate(space.patterns)}
-    lam = np.zeros(len(space.patterns))
+    maximal = [space.patterns[k] for k in np.flatnonzero(space.maximal)]
+    index = {tuple(p.pairs): k for k, p in enumerate(maximal)}
+    lam = np.zeros(len(maximal))
     lam[index[((0, 1), (2, 3))]] = 0.5
     lam[index[((0, 2), (1, 3))]] = 0.5
     two_matching_value = float(np.min(table.values @ lam))

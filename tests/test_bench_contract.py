@@ -58,9 +58,15 @@ def test_sized_results_keep_their_attributes(monkeypatch):
 
     monkeypatch.setattr(otocap.capacity, "solve_maxmin", spy)
     oc.verify_instance(inst)
-    assert len(seen) == 3
-    for problem in seen:
-        assert problem.values.shape == (len(space.cuts), len(space.patterns))
+    # the imperfect LP has a column per pattern, the ideal and TSN LPs
+    # one per maximal matching
+    maximal = int(space.maximal.sum())
+    assert maximal < len(space.patterns)
+    assert [problem.values.shape for problem in seen] == [
+        (len(space.cuts), len(space.patterns)),
+        (len(space.cuts), maximal),
+        (len(space.cuts), maximal),
+    ]
 
 
 def test_workload_block_count_matches_the_kernel():

@@ -10,6 +10,7 @@ import otocap as oc
 from conftest import (
     diamond_instance,
     edge_route,
+    full_table_value,
     line_instance,
     linear_table_oracle,
     per_pair_tables,
@@ -205,8 +206,30 @@ def test_linear_value_table_matches_set_based_oracle():
         rates = oc.link_rates(inst)
         for model_rates in (rates.ideal, rates.tsn):
             got = oc.linear_value_table(space, model_rates).values
-            want = linear_table_oracle(space, model_rates)
+            want = linear_table_oracle(space, model_rates)[:, space.maximal]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_linear_models_match_the_full_table_lp():
+    # the maximal-matching LP has the full-pattern LP's optimum, and its
+    # schedule is a distribution over maximal matchings
+    for beta in (0.0, 0.3, 1.0):
+        specs = [oc.GenSpec(topology="diamond", relays=2, channel="rayleigh", beta=beta)]
+        specs += [oc.GenSpec(topology=topology, relays=relays, channel="rayleigh", beta=beta,
+                             seed=seed, edge_probability=0.6)
+                  for topology, relays, seed in (("line", 5, 0), ("full", 3, 1), ("full", 4, 2),
+                                                 ("random", 4, 3), ("random", 5, 4))]
+        for inst in map(oc.generate, specs):
+            space = oc.build_state_space(inst)
+            maximal = {space.patterns[k] for k in np.flatnonzero(space.maximal)}
+            rates = oc.link_rates(inst)
+            for solve, model_rates in ((oc.capacity_ideal, rates.ideal),
+                                       (oc.rate_tsn, rates.tsn)):
+                result = solve(inst, space)
+                want = full_table_value(space, model_rates)
+                assert math.isclose(result.value, want, rel_tol=1e-9), (inst.metadata, beta)
+                assert set(result.schedule.weights) <= maximal
+                assert math.isclose(result.schedule.total(), 1.0, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("seed,relays,beta", [

@@ -10,6 +10,7 @@ from conftest import (
     diamond_instance,
     enumerate_raw_states,
     line_instance,
+    maximal_oracle,
     pattern_of_state,
     random_instance,
     source_sides,
@@ -201,6 +202,25 @@ def test_crossing_of_a_linkless_state_space():
     inst = oc.NetworkInstance.from_links(2, {}, 1.0, 1.0, 0.0)
     crossing = oc.build_state_space(inst).crossing
     assert crossing.shape == (4, 0) and crossing.dtype == bool
+
+
+def test_maximal_mask_matches_set_based_oracle():
+    linkless = oc.NetworkInstance.from_links(2, {}, 1.0, 1.0, 0.0)
+    for inst in [*state_space_instances(), linkless]:
+        space = oc.build_state_space(inst)
+        assert space.maximal.shape == (len(space.patterns),) and space.maximal.dtype == bool
+        np.testing.assert_array_equal(space.maximal, maximal_oracle(space))
+        assert not space.maximal.flags.writeable
+    # with no link at all, the empty pattern is the one maximal matching
+    assert oc.build_state_space(linkless).maximal.tolist() == [True]
+
+
+@pytest.mark.parametrize("topology,relays,maximal,patterns", [
+    ("full", 4, 97, 888), ("full", 5, 574, 7380), ("line", 5, 1, 64),
+])
+def test_maximal_matching_counts(topology, relays, maximal, patterns):
+    space = oc.build_state_space(oc.generate(oc.GenSpec(topology=topology, relays=relays)))
+    assert (int(space.maximal.sum()), len(space.patterns)) == (maximal, patterns)
 
 
 def test_enumeration_is_deterministic():

@@ -94,6 +94,15 @@ def test_validate_flags_bad_parameters():
         "power * max(alpha, beta)^2 * sum |h|^2 overflows: power=1.0, alpha=1e+200, "
         "beta=0.0, strongest link (0, 1) has |h|=1.0"
     )
+    # the relay count must be an integer within the limit from_links applies
+    with pytest.raises(ValueError) as exc:
+        oc.NetworkInstance(1.5, np.zeros((3, 3)), 1, 1, 0)
+    assert str(exc.value) == "num_relays must be in [0, 1000], got 1.5"
+    with pytest.raises(ValueError) as exc:
+        oc.NetworkInstance(1001, np.zeros((1003, 1003)), 1, 1, 0)
+    assert str(exc.value) == "num_relays must be in [0, 1000], got 1001"
+    inst = oc.NetworkInstance(np.int64(0), channel, 1.0, 1.0, 0.0)
+    assert inst.num_relays == 0 and type(inst.num_relays) is int
 
 
 def test_max_degree_hand_values():
