@@ -26,10 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import capacity_ideal, capacity_imperfect, link_rates, rate_tsn
+from .capacity import (
+    CapacityResult,
+    capacity_ideal,
+    capacity_imperfect,
+    link_rates,
+    rate_tsn,
+)
 from .enumeration import StateSpace, build_state_space
 from .matrices import CutBlockTables, cut_block_tables
 from .model import AlignmentPattern, Cut, NetworkInstance, max_degree
+from .optimize import DUALITY_RTOL, SolverError
 
 __all__ = [
     "AssumptionReport",
@@ -211,6 +218,43 @@ def tsn_gap_bound(inst: NetworkInstance) -> float:
     return inst.num_relays * math.log2(delta) + inst.num_relays * worst_leak
 
 
+def _check_cross_model(
+    inst: NetworkInstance,
+    space: StateSpace,
+    blocks: CutBlockTables,
+    results: tuple[CapacityResult, ...],
+) -> None:
+    """Raise SolverError unless every model's schedule is worth at least
+    as much on that model's table as each other model's schedule is.
+
+    Each table values a schedule's ``weights`` over every pattern: the
+    imperfect model through the cut-block values ``blocks``, the linear
+    models through the link rates that cross each cut.  An optimal
+    schedule cannot lose to another, so a loss beyond DUALITY_RTOL *
+    max(1, |own value|) means a wrong optimum.
+    """
+    rates = link_rates(inst)
+    link_values = {
+        tag: space.crossing * np.array([r[e] for e in space.links], dtype=float)
+        for tag, r in (("ideal", rates.ideal), ("tsn", rates.tsn))
+    }
+
+    def value(tag: str, weights: np.ndarray) -> float:
+        if tag == "imperfect":
+            return float(np.min(blocks.values @ weights))
+        return float(np.min(link_values[tag] @ (space.incidence.T @ weights)))
+
+    for own in results:
+        mine = value(own.model_tag, own.weights)
+        for other in results:
+            theirs = value(own.model_tag, other.weights)
+            if theirs - mine > DUALITY_RTOL * max(1.0, abs(mine)):
+                raise SolverError(
+                    f"{own.model_tag} table: the {other.model_tag} schedule is worth "
+                    f"{theirs:.9g}, more than the {own.model_tag} optimum {mine:.9g}"
+                )
+
+
 def verify_instance(inst: NetworkInstance) -> GapReport:
     """Compute all capacities, gaps and bounds and enforce the bounds.
 
@@ -220,7 +264,9 @@ def verify_instance(inst: NetworkInstance) -> GapReport:
     TheoremViolationError is raised for the first of them whose gap
     exceeds its bound by more than GAP_TOL -- such a violation means a
     bug, not an interesting data point.  Every gap and bound is reported
-    whether or not its theorem applies.
+    whether or not its theorem applies.  SolverError is raised first when
+    a model's schedule is worth less on its own table than another
+    model's schedule.
     """
     space = build_state_space(inst)
     n = inst.num_relays
@@ -228,7 +274,9 @@ def verify_instance(inst: NetworkInstance) -> GapReport:
     imperfect = capacity_imperfect(inst, space)
     ideal = capacity_ideal(inst, space=space)
     tsn = rate_tsn(inst, space)
-    assumptions = check_assumptions(inst, space, imperfect.blocks)
+    blocks = imperfect.blocks or cut_block_tables(inst, space)
+    _check_cross_model(inst, space, blocks, (imperfect, ideal, tsn))
+    assumptions = check_assumptions(inst, space, blocks)
 
     penalty, bound = _ideal_gap_terms(n, assumptions.max_rho)
     condition = constant_gap_condition(inst)

@@ -18,7 +18,9 @@ matching (``StateSpace.maximal``) and the same optimum as over every
 pattern; their tables are one product over the state space's cut x link
 crossing and the maximal rows of its pattern x link incidence.  The
 imperfect model has no such order (an aligned link can lower a cut's
-log-det), so its LP keeps one column per pattern.
+log-det), so its table keeps one column per pattern: the LP starts from
+the maximal matchings' columns and ``solve_maxmin`` certifies the
+result against the whole table, pricing in any column it is missing.
 
 All rates are bits per channel use, logs base 2.
 """
@@ -110,14 +112,16 @@ class CapacityResult:
     """A capacity value with the schedule that achieves it.
 
     ``value`` is the least value the schedule achieves across any cut of
-    the state space.  ``blocks`` holds the imperfect model's cut-block
-    tables, whose dominance ratios the assumption check can reuse; it is
-    None for the other models.
+    the state space.  ``weights`` holds the schedule's weight of every
+    ``space.patterns`` row.  ``blocks`` holds the imperfect model's
+    cut-block tables, whose dominance ratios the assumption check can
+    reuse; it is None for the other models.
     """
 
     value: float
     schedule: Schedule
     model_tag: str
+    weights: np.ndarray = field(repr=False, compare=False)
     blocks: CutBlockTables | None = field(default=None, repr=False, compare=False)
 
 
@@ -126,18 +130,23 @@ def _solve(
     table: MaxMinProblem,
     tag: str,
     columns: np.ndarray,
+    start: np.ndarray | None = None,
     blocks: CutBlockTables | None = None,
 ) -> CapacityResult:
     """Solve the pattern LP; its column k is ``space.patterns[columns[k]]``.
 
+    ``start`` names the columns the LP starts from (None: every column).
     ``columns`` ascends, so the schedule stays in canonical pattern order.
     """
-    lam = solve_maxmin(table)
+    lam = solve_maxmin(table, start)
+    weights = np.zeros(len(space.incidence))
+    weights[columns] = lam
     return CapacityResult(
         value=float(np.min(table.values @ lam)),
-        schedule=Schedule({space.patterns[columns[k]]: float(lam[k])
-                           for k in np.flatnonzero(lam)}),
+        schedule=Schedule({space.patterns[k]: float(weights[k])
+                           for k in np.flatnonzero(weights)}),
         model_tag=tag,
+        weights=weights,
         blocks=blocks,
     )
 
@@ -145,11 +154,18 @@ def _solve(
 def capacity_imperfect(
     inst: NetworkInstance, space: StateSpace | None = None
 ) -> CapacityResult:
-    """Approximate capacity of the side-lobe (imperfect beamforming) model."""
+    """Approximate capacity of the side-lobe (imperfect beamforming) model.
+
+    The table has a column per pattern.  The LP starts from the maximal
+    matchings' columns and is certified against every column, so the
+    value is the full table's optimum; the schedule is supported on the
+    columns the LP used, usually maximal matchings only.
+    """
     space = space or build_state_space(inst)
     blocks = imperfect_value_table(inst, space)
-    columns = np.arange(len(space.patterns))
-    return _solve(space, MaxMinProblem(values=blocks.values), "imperfect", columns, blocks)
+    columns = np.arange(len(space.incidence))
+    return _solve(space, MaxMinProblem(values=blocks.values), "imperfect", columns,
+                  start=np.flatnonzero(space.maximal), blocks=blocks)
 
 
 def capacity_ideal(inst: NetworkInstance, space: StateSpace | None = None) -> CapacityResult:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import MAX_RELAYS, NetworkInstance, admissible_links
+from .model import NetworkInstance, _check_relay_count, admissible_links
 
 __all__ = [
     "GenSpec",
@@ -117,8 +117,7 @@ def generate(spec: GenSpec) -> NetworkInstance:
         raise ValueError(f"unknown topology {spec.topology!r}")
     if spec.channel not in CHANNELS:
         raise ValueError(f"unknown channel model {spec.channel!r}")
-    if not 0 <= spec.relays <= MAX_RELAYS:
-        raise ValueError(f"relays must be in [0, {MAX_RELAYS}], got {spec.relays}")
+    _check_relay_count(spec.relays)
     if not 0.0 <= spec.edge_probability <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     if spec.scale <= 0:
@@ -158,6 +157,7 @@ def platooning_instance(
     10 dBm through a 1 GHz thermal noise floor with a 10 dB noise
     figure.
     """
+    n_relays = _check_relay_count(n_relays)
     if snr <= 0:
         raise ValueError("snr must be positive")
     amp = friis_amplitude(spacing_m, 60.0)

@@ -3,10 +3,14 @@
 The pattern LP optimises a distribution over alignment patterns
 directly: one variable per pattern, one constraint per cut.  It is the
 epigraph LP ``max t  s.t.  (cut value) >= t`` handed to HiGHS via
-scipy.  The solver is deterministic for a fixed input, the reported
-objective is always re-derived from the returned variables (never read
-off solver internals), and the dual certificate is always checked.  The
-LP knows columns, not patterns: it returns the weight vector over its
+scipy, solved over a master set of columns that pricing grows until a
+weak-duality certificate over the whole table closes: weights lambda
+give ``lower = min_c (V lambda)_c``, the master's cut duals y (clipped
+to >= 0 and normalised to sum to one) give ``upper = max_p (V^T y)_p``,
+and lower <= optimum <= upper holds for any such pair.  The solver is
+deterministic for a fixed input, and both bounds are re-derived from
+the returned variables (never read off solver internals).  The LP knows
+columns, not patterns: it returns the weight vector over the table's
 columns, and the caller that built the table names the patterns.
 
 ``decompose_edge_fractions`` peels per-link activation fractions under
@@ -39,6 +43,10 @@ BUDGET_SLACK = 1e-9
 # a node is tight when its load is within this of the maximum load
 TIGHT_LOAD_TOL = 1e-12
 DUALITY_RTOL = 1e-7
+# a master LP not certified after this many rounds raises
+MAX_ROUNDS = 50
+# columns priced into the master per round, at most
+COLUMNS_PER_ROUND = 8
 _HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
@@ -84,59 +92,90 @@ class Schedule:
         return float(sum(self.weights.values()))
 
 
-def _check_duality(res, b_ub, b_eq, reported: float) -> None:
-    ineq = getattr(res, "ineqlin", None)
-    if ineq is None or ineq.marginals is None:
-        raise SolverError("HiGHS returned no inequality marginals to check the optimum with")
-    dual = float(b_ub @ ineq.marginals) + float(b_eq @ res.eqlin.marginals)
-    gap = abs(res.fun - dual)
-    if gap > DUALITY_RTOL * max(1.0, abs(reported)):
-        raise SolverError(f"duality gap {gap:.3e} exceeds tolerance at value {reported:.6g}")
+def _solve_master(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, cut duals y) of the epigraph LP over the columns of v.
 
-
-def solve_maxmin(problem: MaxMinProblem) -> np.ndarray:
-    """Maximise the minimum cut value over pattern distributions.
-
-    Returns the weight of every column of the value table, renormalised
-    to sum to one with weights below WEIGHT_FLOOR snapped to zero.
-    Raises SolverError when HiGHS fails, returns no dual values, or its
-    dual objective misses the value these weights achieve.
+    The weights are renormalised to sum to one with entries below
+    WEIGHT_FLOOR snapped to zero; y is clipped to >= 0 and normalised to
+    sum to one.
     """
-    v = problem.values
-    n_cuts, n_patterns = v.shape
+    n_cuts, n_cols = v.shape
 
     # variables z = (t, lambda_1 .. lambda_S); maximise t
-    c = np.zeros(n_patterns + 1)
+    c = np.zeros(n_cols + 1)
     c[0] = -1.0
     a_ub = np.hstack([np.ones((n_cuts, 1)), -v])
-    b_ub = np.zeros(n_cuts)
-    a_eq = np.zeros((1, n_patterns + 1))
+    a_eq = np.zeros((1, n_cols + 1))
     a_eq[0, 1:] = 1.0
-    b_eq = np.ones(1)
-    bounds = [(None, None)] + [(0, None)] * n_patterns
+    bounds = [(None, None)] + [(0, None)] * n_cols
 
     res = linprog(
         c,
         A_ub=a_ub,
-        b_ub=b_ub,
+        b_ub=np.zeros(n_cuts),
         A_eq=a_eq,
-        b_eq=b_eq,
+        b_eq=np.ones(1),
         bounds=bounds,
         method="highs",
         options=_HIGHS_OPTIONS,
     )
     if res.status != 0:
         raise SolverError(f"max-min LP failed: status {res.status} ({res.message})")
+    ineq = getattr(res, "ineqlin", None)
+    if ineq is None or ineq.marginals is None:
+        raise SolverError("HiGHS returned no inequality marginals to check the optimum with")
 
     lam = np.maximum(res.x[1:], 0.0)
     lam[lam < WEIGHT_FLOOR] = 0.0
     total = lam.sum()
     if total <= 0:
         raise SolverError("max-min LP returned an all-zero schedule")
-    lam /= total
+    # a <= row's marginal is the (nonpositive) change of min -t per unit of b_ub
+    y = np.maximum(-np.asarray(ineq.marginals, dtype=float), 0.0)
+    if y.sum() <= 0:
+        raise SolverError("max-min LP returned all-zero cut duals")
+    return lam / total, y / y.sum()
 
-    _check_duality(res, b_ub, b_eq, float(np.min(v @ lam)))
-    return lam
+
+def _entering_columns(prices: np.ndarray, lower: float, master: np.ndarray) -> np.ndarray:
+    """The <= COLUMNS_PER_ROUND columns outside ``master`` priced above
+    ``lower``, highest price first."""
+    candidates = np.setdiff1d(np.flatnonzero(prices > lower), master)
+    order = np.argsort(-prices[candidates], kind="stable")
+    return candidates[order[:COLUMNS_PER_ROUND]]
+
+
+def solve_maxmin(problem: MaxMinProblem, start: np.ndarray | None = None) -> np.ndarray:
+    """Maximise the minimum cut value over pattern distributions.
+
+    Solves a master LP over the ``start`` columns (every column when
+    None) and certifies it over the whole table: it stops when
+    ``upper - lower`` is within DUALITY_RTOL * max(1, |lower|), and
+    otherwise prices the best columns into the master and solves again.
+    Returns the weight of every column of the table, supported on the
+    master's columns, summing to one with weights below WEIGHT_FLOOR
+    snapped to zero.  Raises SolverError when HiGHS fails or returns no
+    dual values, when the gap is open and pricing adds no column, or
+    after MAX_ROUNDS rounds without a certificate.
+    """
+    v = problem.values
+    master = np.arange(v.shape[1]) if start is None else np.asarray(start, dtype=np.intp)
+    for _ in range(MAX_ROUNDS):
+        weights, y = _solve_master(v[:, master])
+        lam = np.zeros(v.shape[1])
+        lam[master] = weights
+        lower = float(np.min(v @ lam))
+        prices = y @ v
+        gap = float(prices.max()) - lower
+        if gap <= DUALITY_RTOL * max(1.0, abs(lower)):
+            return lam
+        entering = _entering_columns(prices, lower, master)
+        if not entering.size:
+            raise SolverError(
+                f"duality gap {gap:.3e} open at value {lower:.6g} and pricing adds no column"
+            )
+        master = np.concatenate([master, entering])
+    raise SolverError(f"max-min LP not certified after {MAX_ROUNDS} rounds (gap {gap:.3e})")
 
 
 def decompose_edge_fractions(x: Mapping[tuple[int, int], float]) -> Schedule:

@@ -2,8 +2,10 @@
 
 The oracle helpers deliberately avoid the library's own computation
 paths (the pattern x link incidence enumeration, batched cut-block
-kernel, value-table assembly) so that agreement between the two routes
-is evidence, not tautology.  The raw-state oracle enumerates every
+kernel, value-table assembly, priced master LP) so that agreement
+between the two routes is evidence, not tautology.  ``maxmin_oracle``
+solves a table's max-min LP over every column with HiGHS called
+directly.  The raw-state oracle enumerates every
 joint beam configuration and is used by tests only.  The edge-fraction
 LP reaches the ideal capacity over per-link fractions, from cuts listed
 by relay bitmask and HiGHS called directly.  The Ostrowski and
@@ -225,10 +227,7 @@ def raw_state_capacities(inst):
             v_ideal[ci, si] = sum(rate_ideal[e] for e in crossing)
             v_tsn[ci, si] = sum(rate_tsn[e] for e in crossing)
 
-    return tuple(
-        float(np.min(v @ oc.solve_maxmin(oc.MaxMinProblem(v))))
-        for v in (v_imp, v_ideal, v_tsn)
-    )
+    return tuple(maxmin_oracle(v) for v in (v_imp, v_ideal, v_tsn))
 
 
 def state_space_instances():
@@ -265,11 +264,26 @@ def maximal_oracle(space):
     return np.array(maximal, dtype=bool)
 
 
+def maxmin_oracle(v):
+    """Max-min value of table v over distributions on all its columns:
+    the epigraph LP handed to HiGHS directly, valued at its weights."""
+    v = np.asarray(v, dtype=float)
+    n_cuts, n_cols = v.shape
+    res = linprog(np.r_[-1.0, np.zeros(n_cols)],
+                  A_ub=np.hstack([np.ones((n_cuts, 1)), -v]), b_ub=np.zeros(n_cuts),
+                  A_eq=np.r_[0.0, np.ones(n_cols)][None, :], b_eq=[1.0],
+                  bounds=[(None, None)] + [(0, None)] * n_cols, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-9,
+                           "dual_feasibility_tolerance": 1e-9})
+    assert res.status == 0, res.message
+    x = np.maximum(res.x[1:], 0.0)
+    return float(np.min(v @ (x / x.sum())))
+
+
 def full_table_value(space, rates):
     """Max-min value of a linear model's LP with a column for every
     pattern, maximal or not."""
-    v = linear_table_oracle(space, rates)
-    return float(np.min(v @ oc.solve_maxmin(oc.MaxMinProblem(v))))
+    return maxmin_oracle(linear_table_oracle(space, rates))
 
 
 def source_sides(num_relays):

@@ -52,21 +52,24 @@ def test_sized_results_keep_their_attributes(monkeypatch):
 
     seen = []
 
-    def spy(problem):
-        seen.append(problem)
-        return oc.solve_maxmin(problem)
+    def spy(problem, start=None):
+        seen.append((problem, start))
+        return oc.solve_maxmin(problem, start)
 
     monkeypatch.setattr(otocap.capacity, "solve_maxmin", spy)
     oc.verify_instance(inst)
-    # the imperfect LP has a column per pattern, the ideal and TSN LPs
-    # one per maximal matching
+    # the imperfect table has a column per pattern and its LP starts from
+    # the maximal matchings; the ideal and TSN tables have one column per
+    # maximal matching
     maximal = int(space.maximal.sum())
     assert maximal < len(space.patterns)
-    assert [problem.values.shape for problem in seen] == [
+    assert [problem.values.shape for problem, _ in seen] == [
         (len(space.cuts), len(space.patterns)),
         (len(space.cuts), maximal),
         (len(space.cuts), maximal),
     ]
+    assert seen[0][1].tolist() == space.maximal.nonzero()[0].tolist()
+    assert seen[1][1] is None and seen[2][1] is None
 
 
 def test_workload_block_count_matches_the_kernel():

@@ -8,6 +8,7 @@ import pytest
 
 import otocap as oc
 import otocap.bounds
+import otocap.capacity
 from conftest import diamond_instance, line_instance, random_instance, raw_state_capacities
 
 
@@ -264,6 +265,24 @@ def test_two_relay_enforcement_still_active(monkeypatch):
 
     monkeypatch.setattr(otocap.bounds, "capacity_imperfect", shifted)
     with pytest.raises(oc.TheoremViolationError):
+        oc.verify_instance(inst)
+
+
+@pytest.mark.parametrize("model", ["imperfect", "ideal", "tsn"])
+def test_a_schedule_beaten_on_its_own_table_raises(monkeypatch, model):
+    # the LPs run in the order imperfect, ideal, tsn; the one for
+    # ``model`` returns the uniform schedule over its table's columns
+    inst = random_instance(seed=1, relays=3, beta=0.3)
+    calls = []
+
+    def uniform_for_one(problem, start=None):
+        calls.append(problem)
+        if len(calls) - 1 == ["imperfect", "ideal", "tsn"].index(model):
+            return np.full(problem.values.shape[1], 1.0 / problem.values.shape[1])
+        return oc.solve_maxmin(problem, start)
+
+    monkeypatch.setattr(otocap.capacity, "solve_maxmin", uniform_for_one)
+    with pytest.raises(oc.SolverError, match=f"^{model} table: the \\w+ schedule is worth"):
         oc.verify_instance(inst)
 
 

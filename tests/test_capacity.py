@@ -13,6 +13,7 @@ from conftest import (
     full_table_value,
     line_instance,
     linear_table_oracle,
+    maxmin_oracle,
     per_pair_tables,
     permute_relays,
     random_instance,
@@ -230,6 +231,38 @@ def test_linear_models_match_the_full_table_lp():
                 assert math.isclose(result.value, want, rel_tol=1e-9), (inst.metadata, beta)
                 assert set(result.schedule.weights) <= maximal
                 assert math.isclose(result.schedule.total(), 1.0, rel_tol=1e-12)
+
+
+def test_imperfect_model_matches_the_full_table_lp(monkeypatch):
+    # the LP starts from the maximal matchings and prices in what it
+    # lacks, so its value is the full table's optimum and its schedule
+    # lies on the master's columns
+    entered = []
+    price = oc.optimize._entering_columns
+
+    def recorded_price(*args):
+        columns = price(*args)
+        entered.extend(columns.tolist())
+        return columns
+
+    monkeypatch.setattr(oc.optimize, "_entering_columns", recorded_price)
+    instances = state_space_instances() + [
+        oc.generate(oc.GenSpec(topology="full", relays=4, channel="rayleigh", beta=beta,
+                               power=power, seed=seed))
+        for seed, (beta, power) in enumerate(
+            (b, p) for b in (0.1, 0.5, 1.0) for p in (0.1, 1.0, 100.0))
+    ]
+    for inst in instances:
+        space = oc.build_state_space(inst)
+        entered.clear()
+        result = oc.capacity_imperfect(inst, space)
+        want = maxmin_oracle(result.blocks.values)
+        assert math.isclose(result.value, want, rel_tol=1e-9), inst.metadata
+        support = np.flatnonzero(result.weights)
+        assert set(support.tolist()) <= set(np.flatnonzero(space.maximal).tolist()) | set(entered)
+        assert result.schedule.weights == {space.patterns[k]: result.weights[k]
+                                           for k in support}
+        assert math.isclose(result.schedule.total(), 1.0, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("seed,relays,beta", [

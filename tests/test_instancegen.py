@@ -131,6 +131,19 @@ def test_bad_spec_rejected():
                                scale=0.0))
 
 
+@pytest.mark.parametrize("relays", [1.5, 1001, -1, "2"])
+def test_bad_relay_count_raises_the_documented_value_error(relays):
+    text = f"num_relays must be in [0, 1000], got {relays}"
+    with pytest.raises(ValueError) as exc:
+        oc.generate(oc.GenSpec(topology="line", relays=relays))
+    assert str(exc.value) == text
+    with pytest.raises(ValueError) as exc:
+        oc.platooning_instance(relays)
+    assert str(exc.value) == text
+    # numpy integers are integers
+    assert oc.platooning_instance(np.int64(2)).num_relays == 2
+
+
 def test_platooning_operating_point():
     inst = oc.platooning_instance(3)
     assert nonzero_links(inst) == {(0, 1), (1, 2), (2, 3), (3, 4)}

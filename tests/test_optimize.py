@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import otocap as oc
-from conftest import diamond_instance, edge_lp, line_instance, random_instance
+from conftest import diamond_instance, edge_lp, line_instance, maxmin_oracle, random_instance
 
 
 def solve(v):
@@ -75,9 +75,74 @@ def test_maxmin_schedule_self_consistency():
     assert value >= float(np.min(v.mean(axis=1))) - 1e-9
 
 
+def weak_start_table():
+    """(table, start): a random table whose start columns are scaled down,
+    so that the master over them alone is suboptimal."""
+    rng = np.random.Generator(np.random.Philox(81))
+    v = rng.uniform(0.0, 1.0, size=(6, 40))
+    v[:, :3] *= 0.2
+    return v, np.arange(3)
+
+
+def test_pricing_certifies_a_suboptimal_start(monkeypatch):
+    v, start = weak_start_table()
+    rounds, entered = [], []
+    master, price = oc.optimize._solve_master, oc.optimize._entering_columns
+
+    def counted_master(table):
+        rounds.append(table.shape[1])
+        return master(table)
+
+    def recorded_price(*args):
+        columns = price(*args)
+        entered.extend(columns.tolist())
+        return columns
+
+    monkeypatch.setattr(oc.optimize, "_solve_master", counted_master)
+    monkeypatch.setattr(oc.optimize, "_entering_columns", recorded_price)
+    lam = oc.solve_maxmin(oc.MaxMinProblem(v), start)
+
+    assert len(rounds) >= 2
+    # each round adds at most COLUMNS_PER_ROUND new columns
+    assert all(0 < b - a <= oc.optimize.COLUMNS_PER_ROUND for a, b in zip(rounds, rounds[1:]))
+    assert len(set(entered)) == len(entered) and not set(entered) & set(start.tolist())
+    assert set(np.flatnonzero(lam).tolist()) <= set(start.tolist()) | set(entered)
+    assert math.isclose(lam.sum(), 1.0, abs_tol=1e-9)
+    want = maxmin_oracle(v)
+    assert want > float(np.min(v[:, start] @ np.ones(3) / 3)) + 0.1
+    assert math.isclose(float(np.min(v @ lam)), want, rel_tol=1e-9)
+
+
+def test_entering_columns_are_the_best_priced_outside_the_master():
+    prices = np.array([5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0, 6.0, 4.0, 10.0, 0.5, 9.5])
+    # column 9 is in the master, columns 1 and 10 are priced below 1.5,
+    # and of the nine left the cheapest (column 5) misses the cut of eight
+    got = oc.optimize._entering_columns(prices, 1.5, np.array([9]))
+    assert got.tolist() == [11, 2, 6, 4, 7, 0, 8, 3]
+
+
+def test_open_gap_without_entering_columns_raises(monkeypatch):
+    v, start = weak_start_table()
+    monkeypatch.setattr(oc.optimize, "_entering_columns",
+                        lambda *args: np.array([], dtype=np.intp))
+    with pytest.raises(oc.SolverError, match="pricing adds no column"):
+        oc.solve_maxmin(oc.MaxMinProblem(v), start)
+
+
+def test_round_cap_raises(monkeypatch):
+    v, start = weak_start_table()
+    monkeypatch.setattr(oc.optimize, "MAX_ROUNDS", 1)
+    with pytest.raises(oc.SolverError, match="not certified after 1 rounds"):
+        oc.solve_maxmin(oc.MaxMinProblem(v), start)
+    # the full table certifies in its first round
+    lam = oc.solve_maxmin(oc.MaxMinProblem(v))
+    assert math.isclose(float(np.min(v @ lam)), maxmin_oracle(v), rel_tol=1e-9)
+
+
 @pytest.mark.parametrize("solve_lp", [
     lambda: solve([[1.0, 0.0], [0.0, 1.0]]),
-], ids=["pattern_lp"])
+    lambda: oc.solve_maxmin(oc.MaxMinProblem(np.eye(3)), np.array([0])),
+], ids=["pattern_lp", "priced_master"])
 def test_missing_marginals_raise_solver_error(monkeypatch, solve_lp):
     real = oc.optimize.linprog
 
