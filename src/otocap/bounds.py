@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (
-    CapacityResult,
-    capacity_ideal,
-    capacity_imperfect,
-    link_rates,
-    rate_tsn,
-)
+from .capacity import MODELS, CapacityResult, LinkRates, _capacities, link_rates
 from .enumeration import StateSpace, build_state_space
 from .matrices import CutBlockTables, cut_block_tables
 from .model import AlignmentPattern, Cut, NetworkInstance, max_degree
@@ -62,7 +56,7 @@ class TheoremViolationError(AssertionError):
         self.report = report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssumptionReport:
     """Outcome of the two structural assumption checks."""
 
@@ -77,7 +71,7 @@ class AssumptionReport:
         return self.main_lobe_stronger and self.diagonally_dominant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatioCondition:
     """Sufficient alpha/beta ratio for the universal N log2 N gap.
 
@@ -93,7 +87,7 @@ class RatioCondition:
     applicable: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapReport:
     """All gaps, bounds and assumption findings for one instance.
 
@@ -191,13 +185,18 @@ def constant_gap_condition(inst: NetworkInstance) -> RatioCondition:
     applicable for N <= 1 (the factor N/(N-1) is undefined and the
     bound would be vacuous) or when the instance has no links.
     """
+    return _ratio_condition(inst, max_degree(inst))
+
+
+def _ratio_condition(inst: NetworkInstance, delta: int) -> RatioCondition:
+    """``constant_gap_condition`` given the instance's maximum degree."""
     n = inst.num_relays
     ratio = math.inf if inst.beta == 0 else inst.alpha / inst.beta
     if n <= 1 or not inst.links():
         return RatioCondition(
             ratio=ratio, threshold=math.nan, satisfied=False, applicable=False
         )
-    threshold = max_degree(inst) ** 2 * (n / (n - 1)) * _gain_ratio(inst)
+    threshold = delta**2 * (n / (n - 1)) * _gain_ratio(inst)
     return RatioCondition(
         ratio=ratio,
         threshold=float(threshold),
@@ -211,18 +210,22 @@ def tsn_gap_bound(inst: NetworkInstance) -> float:
 
     A linkless instance (Delta = 0) has nothing to lose, so its bound is 0.
     """
-    delta = max_degree(inst)
+    return _tsn_gap_bound(inst, max_degree(inst), link_rates(inst))
+
+
+def _tsn_gap_bound(inst: NetworkInstance, delta: int, rates: LinkRates) -> float:
+    """``tsn_gap_bound`` given the maximum degree and the link rates."""
     if delta == 0:
         return 0.0
-    worst_leak = max(link_rates(inst).leakage.values())
+    worst_leak = max(rates.leakage.values())
     return inst.num_relays * math.log2(delta) + inst.num_relays * worst_leak
 
 
 def _check_cross_model(
-    inst: NetworkInstance,
     space: StateSpace,
     blocks: CutBlockTables,
-    results: tuple[CapacityResult, ...],
+    rates: LinkRates,
+    results: list[CapacityResult],
 ) -> None:
     """Raise SolverError unless every model's schedule is worth at least
     as much on that model's table as each other model's schedule is.
@@ -233,7 +236,6 @@ def _check_cross_model(
     schedule cannot lose to another, so a loss beyond DUALITY_RTOL *
     max(1, |own value|) means a wrong optimum.
     """
-    rates = link_rates(inst)
     link_values = {
         tag: space.crossing * np.array([r[e] for e in space.links], dtype=float)
         for tag, r in (("ideal", rates.ideal), ("tsn", rates.tsn))
@@ -270,19 +272,19 @@ def verify_instance(inst: NetworkInstance) -> GapReport:
     """
     space = build_state_space(inst)
     n = inst.num_relays
+    delta = max_degree(inst)
+    rates = link_rates(inst)
 
-    imperfect = capacity_imperfect(inst, space)
-    ideal = capacity_ideal(inst, space=space)
-    tsn = rate_tsn(inst, space)
-    blocks = imperfect.blocks or cut_block_tables(inst, space)
-    _check_cross_model(inst, space, blocks, (imperfect, ideal, tsn))
-    assumptions = check_assumptions(inst, space, blocks)
+    results = _capacities(inst, space, MODELS, rates)
+    imperfect, ideal, tsn = results
+    _check_cross_model(space, imperfect.blocks, rates, results)
+    assumptions = check_assumptions(inst, space, imperfect.blocks)
 
     penalty, bound = _ideal_gap_terms(n, assumptions.max_rho)
-    condition = constant_gap_condition(inst)
+    condition = _ratio_condition(inst, delta)
     ideal_gap = abs(imperfect.value - ideal.value)
     tsn_gap = ideal.value - tsn.value
-    tsn_bound = tsn_gap_bound(inst)
+    tsn_bound = _tsn_gap_bound(inst, delta, rates)
     both = assumptions.both_hold
     # The relay-count budget N*log2(N) absorbs the cut-size accounting
     # only for N >= 2 (and trivially at N = 0).  With exactly one relay
@@ -303,7 +305,7 @@ def verify_instance(inst: NetworkInstance) -> GapReport:
 
     report = GapReport(
         num_relays=n,
-        max_degree=max_degree(inst),
+        max_degree=delta,
         c_imperfect=imperfect.value,
         c_ideal=ideal.value,
         r_tsn=tsn.value,

@@ -22,11 +22,18 @@ log-det), so its table keeps one column per pattern: the LP starts from
 the maximal matchings' columns and ``solve_maxmin`` certifies the
 result against the whole table, pricing in any column it is missing.
 
+The models' tables come from one state space and one set of link rates,
+and ``solve_maxmin`` solves the tables of every model asked for
+together, in one HiGHS call per pricing round: ``verify_instance`` and
+``otocap capacity --model all`` ask for all three models, and each
+public function below asks for its own model alone.
+
 All rates are bits per channel use, logs base 2.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,20 +132,54 @@ class CapacityResult:
     blocks: CutBlockTables | None = field(default=None, repr=False, compare=False)
 
 
-def _solve(
-    space: StateSpace,
-    table: MaxMinProblem,
-    tag: str,
-    columns: np.ndarray,
-    start: np.ndarray | None = None,
-    blocks: CutBlockTables | None = None,
-) -> CapacityResult:
-    """Solve the pattern LP; its column k is ``space.patterns[columns[k]]``.
+# the models _capacities can solve, in the order verify_instance uses
+MODELS = ("imperfect", "ideal", "tsn")
 
-    ``start`` names the columns the LP starts from (None: every column).
+
+def _capacities(
+    inst: NetworkInstance,
+    space: StateSpace,
+    models: Sequence[str],
+    rates: LinkRates | None = None,
+) -> list[CapacityResult]:
+    """The capacity of each named model, from one ``solve_maxmin`` call.
+
+    ``models`` names models of MODELS; their tables are built from
+    ``space`` and ``rates`` (this instance's link rates, computed here
+    when None and a linear model is named) and solved together, one
+    block per table.  Results come in the order of ``models``.
+    """
+    blocks = imperfect_value_table(inst, space) if "imperfect" in models else None
+    if rates is None and set(models) != {"imperfect"}:
+        rates = link_rates(inst)
+    tables = [MaxMinProblem(values=blocks.values) if tag == "imperfect"
+              else linear_value_table(space, getattr(rates, tag)) for tag in models]
+    # the imperfect LP starts from the maximal columns of its full table;
+    # a linear table has only those columns
+    maximal = np.flatnonzero(space.maximal)
+    every = np.arange(len(space.incidence))
+    solved = solve_maxmin(*tables, starts=[maximal if tag == "imperfect" else None
+                                           for tag in models])
+    return [
+        _result(space, tag, table, every, lam, blocks) if tag == "imperfect"
+        else _result(space, tag, table, maximal, lam, None)
+        for tag, table, lam in zip(models, tables, solved)
+    ]
+
+
+def _result(
+    space: StateSpace,
+    tag: str,
+    table: MaxMinProblem,
+    columns: np.ndarray,
+    lam: np.ndarray,
+    blocks: CutBlockTables | None,
+) -> CapacityResult:
+    """The result of weights ``lam`` over a table whose column k is
+    ``space.patterns[columns[k]]``.
+
     ``columns`` ascends, so the schedule stays in canonical pattern order.
     """
-    lam = solve_maxmin(table, start)
     weights = np.zeros(len(space.incidence))
     weights[columns] = lam
     return CapacityResult(
@@ -161,11 +202,8 @@ def capacity_imperfect(
     value is the full table's optimum; the schedule is supported on the
     columns the LP used, usually maximal matchings only.
     """
-    space = space or build_state_space(inst)
-    blocks = imperfect_value_table(inst, space)
-    columns = np.arange(len(space.incidence))
-    return _solve(space, MaxMinProblem(values=blocks.values), "imperfect", columns,
-                  start=np.flatnonzero(space.maximal), blocks=blocks)
+    (result,) = _capacities(inst, space or build_state_space(inst), ("imperfect",))
+    return result
 
 
 def capacity_ideal(inst: NetworkInstance, space: StateSpace | None = None) -> CapacityResult:
@@ -176,9 +214,8 @@ def capacity_ideal(inst: NetworkInstance, space: StateSpace | None = None) -> Ca
     test suite checks it against an independent LP over per-link
     activation fractions.
     """
-    space = space or build_state_space(inst)
-    rates = link_rates(inst).ideal
-    return _solve(space, linear_value_table(space, rates), "ideal", np.flatnonzero(space.maximal))
+    (result,) = _capacities(inst, space or build_state_space(inst), ("ideal",))
+    return result
 
 
 def rate_tsn(inst: NetworkInstance, space: StateSpace | None = None) -> CapacityResult:
@@ -186,6 +223,5 @@ def rate_tsn(inst: NetworkInstance, space: StateSpace | None = None) -> Capacity
 
     Like ``capacity_ideal``, its LP has one column per maximal matching.
     """
-    space = space or build_state_space(inst)
-    rates = link_rates(inst).tsn
-    return _solve(space, linear_value_table(space, rates), "tsn", np.flatnonzero(space.maximal))
+    (result,) = _capacities(inst, space or build_state_space(inst), ("tsn",))
+    return result

@@ -31,7 +31,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 
 from .bounds import GapReport, TheoremViolationError, verify_instance
-from .capacity import CapacityResult, capacity_ideal, capacity_imperfect, rate_tsn
+from .capacity import MODELS, CapacityResult, _capacities
 from .enumeration import EnumerationCapError, build_state_space
 from .instancegen import CHANNELS, TOPOLOGIES, GenSpec, generate
 from .model import NetworkInstance
@@ -286,16 +286,8 @@ def _schedule_payload(result: CapacityResult) -> list[dict]:
 
 def cmd_capacity(args) -> int:
     inst = load_instance(args.instance)
-    space = build_state_space(inst)
-    models = ["imperfect", "ideal", "tsn"] if args.model == "all" else [args.model]
-    results = []
-    for model in models:
-        if model == "imperfect":
-            results.append(capacity_imperfect(inst, space))
-        elif model == "ideal":
-            results.append(capacity_ideal(inst, space=space))
-        else:
-            results.append(rate_tsn(inst, space))
+    models = MODELS if args.model == "all" else (args.model,)
+    results = _capacities(inst, build_state_space(inst), models)
 
     if args.format == "json":
         doc = {
@@ -406,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cap = sub.add_parser("capacity", help="solve capacities of an instance file")
     p_cap.add_argument("instance")
-    p_cap.add_argument("--model", choices=["imperfect", "ideal", "tsn", "all"], default="all")
+    p_cap.add_argument("--model", choices=[*MODELS, "all"], default="all")
     p_cap.add_argument("--format", choices=["json", "csv"], default="json")
     p_cap.add_argument("-o", "--output")
     p_cap.set_defaults(func=cmd_capacity)

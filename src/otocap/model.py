@@ -70,7 +70,7 @@ class InvalidPatternError(ValueError):
     """An alignment pattern does not fit the instance it is used with."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignmentPattern:
     """A set of simultaneously aligned links, i.e. a partial matching.
 
@@ -109,7 +109,7 @@ class AlignmentPattern:
 EMPTY_PATTERN = AlignmentPattern(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """A source-side cut: the set of nodes Omega with 0 in Omega.
 

@@ -13,6 +13,15 @@ the returned variables (never read off solver internals).  The LP knows
 columns, not patterns: it returns the weight vector over the table's
 columns, and the caller that built the table names the patterns.
 
+``solve_maxmin`` takes several tables at once and solves them in one
+HiGHS call per round, as independent blocks of one LP: each table has
+its own epigraph variable and rows, and the objective is the sum of the
+epigraph variables, so no block's optimum or duals depend on another's.
+scipy's fixed cost per call is most of a small LP's time, so one call
+for the three models of an instance is the cheap route.  A block whose
+LP has several optimal vertices may end at another of them stacked than
+alone: the value is the same, the weights may differ.
+
 ``decompose_edge_fractions`` peels per-link activation fractions under
 unit transmit/receive budgets into a schedule over partial matchings.
 Schedules are keyed by ``AlignmentPattern``.
@@ -20,7 +29,7 @@ Schedules are keyed by ``AlignmentPattern``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,29 +101,40 @@ class Schedule:
         return float(sum(self.weights.values()))
 
 
-def _solve_master(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, cut duals y) of the epigraph LP over the columns of v.
+def _solve_master(tables: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, cut duals y) of each table's epigraph LP, in one HiGHS call.
 
-    The weights are renormalised to sum to one with entries below
-    WEIGHT_FLOOR snapped to zero; y is clipped to >= 0 and normalised to
-    sum to one.
+    The tables are stacked as independent blocks: each has its own
+    epigraph variable t_b, its own cut rows and its own simplex row, and
+    the objective is the sum of the t_b, so every block's optimum and
+    duals are its own.  Each block's weights are renormalised to sum to
+    one with entries below WEIGHT_FLOOR snapped to zero; its y is
+    clipped to >= 0 and normalised to sum to one.
     """
-    n_cuts, n_cols = v.shape
+    n_blocks = len(tables)
+    row_at = np.cumsum([0] + [v.shape[0] for v in tables])
+    col_at = n_blocks + np.cumsum([0] + [v.shape[1] for v in tables])
 
-    # variables z = (t, lambda_1 .. lambda_S); maximise t
-    c = np.zeros(n_cols + 1)
-    c[0] = -1.0
-    a_ub = np.hstack([np.ones((n_cuts, 1)), -v])
-    a_eq = np.zeros((1, n_cols + 1))
-    a_eq[0, 1:] = 1.0
-    bounds = [(None, None)] + [(0, None)] * n_cols
+    # variables z = (t_1 .. t_B, lambda of block 1, .., lambda of block B);
+    # maximise the sum of the t_b
+    c = np.zeros(col_at[-1])
+    c[:n_blocks] = -1.0
+    a_ub = np.zeros((row_at[-1], col_at[-1]))
+    a_eq = np.zeros((n_blocks, col_at[-1]))
+    for b, v in enumerate(tables):
+        a_ub[row_at[b]:row_at[b + 1], b] = 1.0
+        a_ub[row_at[b]:row_at[b + 1], col_at[b]:col_at[b + 1]] = -v
+        a_eq[b, col_at[b]:col_at[b + 1]] = 1.0
+    bounds = np.zeros((col_at[-1], 2))
+    bounds[:n_blocks, 0] = -np.inf
+    bounds[:, 1] = np.inf
 
     res = linprog(
         c,
         A_ub=a_ub,
-        b_ub=np.zeros(n_cuts),
+        b_ub=np.zeros(row_at[-1]),
         A_eq=a_eq,
-        b_eq=np.ones(1),
+        b_eq=np.ones(n_blocks),
         bounds=bounds,
         method="highs",
         options=_HIGHS_OPTIONS,
@@ -124,17 +144,20 @@ def _solve_master(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ineq = getattr(res, "ineqlin", None)
     if ineq is None or ineq.marginals is None:
         raise SolverError("HiGHS returned no inequality marginals to check the optimum with")
+    # a <= row's marginal is the (nonpositive) change of -sum t per unit of b_ub
+    duals = np.maximum(-np.asarray(ineq.marginals, dtype=float), 0.0)
 
-    lam = np.maximum(res.x[1:], 0.0)
-    lam[lam < WEIGHT_FLOOR] = 0.0
-    total = lam.sum()
-    if total <= 0:
-        raise SolverError("max-min LP returned an all-zero schedule")
-    # a <= row's marginal is the (nonpositive) change of min -t per unit of b_ub
-    y = np.maximum(-np.asarray(ineq.marginals, dtype=float), 0.0)
-    if y.sum() <= 0:
-        raise SolverError("max-min LP returned all-zero cut duals")
-    return lam / total, y / y.sum()
+    out = []
+    for b in range(n_blocks):
+        lam = np.maximum(res.x[col_at[b]:col_at[b + 1]], 0.0)
+        lam[lam < WEIGHT_FLOOR] = 0.0
+        if lam.sum() <= 0:
+            raise SolverError("max-min LP returned an all-zero schedule")
+        y = duals[row_at[b]:row_at[b + 1]]
+        if y.sum() <= 0:
+            raise SolverError("max-min LP returned all-zero cut duals")
+        out.append((lam / lam.sum(), y / y.sum()))
+    return out
 
 
 def _entering_columns(prices: np.ndarray, lower: float, master: np.ndarray) -> np.ndarray:
@@ -145,37 +168,57 @@ def _entering_columns(prices: np.ndarray, lower: float, master: np.ndarray) -> n
     return candidates[order[:COLUMNS_PER_ROUND]]
 
 
-def solve_maxmin(problem: MaxMinProblem, start: np.ndarray | None = None) -> np.ndarray:
-    """Maximise the minimum cut value over pattern distributions.
+def solve_maxmin(
+    problem: MaxMinProblem,
+    *more: MaxMinProblem,
+    starts: Sequence[np.ndarray | None] | None = None,
+) -> list[np.ndarray]:
+    """Maximise the minimum cut value over pattern distributions, for
+    each of several independent tables at once.
 
-    Solves a master LP over the ``start`` columns (every column when
-    None) and certifies it over the whole table: it stops when
-    ``upper - lower`` is within DUALITY_RTOL * max(1, |lower|), and
-    otherwise prices the best columns into the master and solves again.
-    Returns the weight of every column of the table, supported on the
-    master's columns, summing to one with weights below WEIGHT_FLOOR
-    snapped to zero.  Raises SolverError when HiGHS fails or returns no
-    dual values, when the gap is open and pricing adds no column, or
-    after MAX_ROUNDS rounds without a certificate.
+    Every round solves the master LPs of the tables not yet certified
+    in one HiGHS call, one block per table.  Table k's master starts
+    from the columns ``starts[k]`` (every column when that, or
+    ``starts``, is None) and is certified over its whole table: it is
+    done when ``upper - lower`` is within DUALITY_RTOL * max(1, |lower|),
+    and otherwise the best-priced columns join its master for the next
+    round; a certified table leaves the rounds.  Returns, per table, the
+    weight of each of its columns, supported on its master's columns,
+    summing to one with weights below WEIGHT_FLOOR snapped to zero.
+    Raises SolverError when HiGHS fails or returns no dual values, when
+    a table's gap is open and pricing adds no column, or after
+    MAX_ROUNDS rounds with a table not certified.
     """
-    v = problem.values
-    master = np.arange(v.shape[1]) if start is None else np.asarray(start, dtype=np.intp)
+    tables = [p.values for p in (problem, *more)]
+    starts = [None] * len(tables) if starts is None else starts
+    masters = [np.arange(v.shape[1]) if s is None else np.asarray(s, dtype=np.intp)
+               for v, s in zip(tables, starts, strict=True)]
+    weights: list[np.ndarray | None] = [None] * len(tables)
+    pending = list(range(len(tables)))
     for _ in range(MAX_ROUNDS):
-        weights, y = _solve_master(v[:, master])
-        lam = np.zeros(v.shape[1])
-        lam[master] = weights
-        lower = float(np.min(v @ lam))
-        prices = y @ v
-        gap = float(prices.max()) - lower
-        if gap <= DUALITY_RTOL * max(1.0, abs(lower)):
-            return lam
-        entering = _entering_columns(prices, lower, master)
-        if not entering.size:
-            raise SolverError(
-                f"duality gap {gap:.3e} open at value {lower:.6g} and pricing adds no column"
-            )
-        master = np.concatenate([master, entering])
-    raise SolverError(f"max-min LP not certified after {MAX_ROUNDS} rounds (gap {gap:.3e})")
+        solved = _solve_master([tables[b][:, masters[b]] for b in pending])
+        gaps = []
+        for b, (lam_master, y) in zip(pending, solved):
+            v = tables[b]
+            lam = np.zeros(v.shape[1])
+            lam[masters[b]] = lam_master
+            lower = float(np.min(v @ lam))
+            prices = y @ v
+            gap = float(prices.max()) - lower
+            if gap <= DUALITY_RTOL * max(1.0, abs(lower)):
+                weights[b] = lam
+                continue
+            entering = _entering_columns(prices, lower, masters[b])
+            if not entering.size:
+                raise SolverError(
+                    f"duality gap {gap:.3e} open at value {lower:.6g} and pricing adds no column"
+                )
+            masters[b] = np.concatenate([masters[b], entering])
+            gaps.append(gap)
+        pending = [b for b in pending if weights[b] is None]
+        if not pending:
+            return weights
+    raise SolverError(f"max-min LP not certified after {MAX_ROUNDS} rounds (gap {max(gaps):.3e})")
 
 
 def decompose_edge_fractions(x: Mapping[tuple[int, int], float]) -> Schedule:

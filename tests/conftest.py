@@ -15,6 +15,7 @@ dominant Gram matrix, the fact the gap analysis runs on.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +24,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 import otocap as oc
+import otocap.bounds
 
 # -- instance builders ----------------------------------------------------
 
@@ -64,6 +66,36 @@ def permute_relays(inst, perm):
         for i, j in inst.links()
     }
     return oc.NetworkInstance.from_links(n, links, inst.power, inst.alpha, inst.beta)
+
+
+def shift_capacity(monkeypatch, model, shift):
+    """Make ``verify_instance`` see ``model``'s capacity moved by ``shift``
+    bits (a number, or a function of the instance), as an injected bug.
+
+    Only the value moves: every schedule stays optimal, so the
+    cross-model check passes and a theorem check has to catch the bug.
+    """
+    real = otocap.bounds._capacities
+
+    def shifted(inst, space, models, rates=None):
+        bump = shift(inst) if callable(shift) else shift
+        return [dataclasses.replace(r, value=r.value + bump) if r.model_tag == model else r
+                for r in real(inst, space, models, rates)]
+
+    monkeypatch.setattr(otocap.bounds, "_capacities", shifted)
+
+
+def count_linprog(monkeypatch):
+    """A list that grows by one entry per HiGHS call the library makes."""
+    calls = []
+    real = oc.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oc.optimize, "linprog", counted)
+    return calls
 
 
 # -- independent oracles --------------------------------------------------

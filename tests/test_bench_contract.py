@@ -52,24 +52,27 @@ def test_sized_results_keep_their_attributes(monkeypatch):
 
     seen = []
 
-    def spy(problem, start=None):
-        seen.append((problem, start))
-        return oc.solve_maxmin(problem, start)
+    def spy(*problems, starts=None):
+        seen.append((problems, starts))
+        return oc.solve_maxmin(*problems, starts=starts)
 
     monkeypatch.setattr(otocap.capacity, "solve_maxmin", spy)
     oc.verify_instance(inst)
-    # the imperfect table has a column per pattern and its LP starts from
-    # the maximal matchings; the ideal and TSN tables have one column per
-    # maximal matching
+    # one call solves the three tables; the imperfect table comes first,
+    # has a column per pattern and its LP starts from the maximal
+    # matchings; the ideal and TSN tables have one column per maximal
+    # matching.  The benchmark's LP sizer reads the first table.
     maximal = int(space.maximal.sum())
     assert maximal < len(space.patterns)
-    assert [problem.values.shape for problem, _ in seen] == [
+    ((problems, starts),) = seen
+    assert isinstance(problems[0], oc.MaxMinProblem)
+    assert [problem.values.shape for problem in problems] == [
         (len(space.cuts), len(space.patterns)),
         (len(space.cuts), maximal),
         (len(space.cuts), maximal),
     ]
-    assert seen[0][1].tolist() == space.maximal.nonzero()[0].tolist()
-    assert seen[1][1] is None and seen[2][1] is None
+    assert starts[0].tolist() == space.maximal.nonzero()[0].tolist()
+    assert starts[1] is None and starts[2] is None
 
 
 def test_workload_block_count_matches_the_kernel():
@@ -108,6 +111,10 @@ def test_traced_run_reports_every_layer(tmp_path):
             assert metrics[f"{layer}.{fn}.calls"] == 0
     assert metrics["capacity.imperfect_value_table.calls"] == 1
     assert metrics["capacity.linear_value_table.calls"] == 2
+    # one solver call, one link-rate map and one degree per verify
+    assert metrics["optimize.solve_maxmin.calls"] == 1
+    assert metrics["capacity.link_rates.calls"] == 1
+    assert metrics["model.max_degree.calls"] == 1
     assert metrics["enumeration.patterns"] == len(oc.build_state_space(inst).patterns)
     # one enumeration per capacity command
     for item in range(1, len(commands) + 1):

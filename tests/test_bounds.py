@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ import pytest
 import otocap as oc
 import otocap.bounds
 import otocap.capacity
-from conftest import diamond_instance, line_instance, random_instance, raw_state_capacities
+from conftest import (
+    count_linprog,
+    diamond_instance,
+    line_instance,
+    random_instance,
+    raw_state_capacities,
+    shift_capacity,
+)
 
 
 def fan_instance(gains=(1.0, 1.0), beta=1.0, alpha=1.0, power=1.0):
@@ -196,6 +204,32 @@ def test_verify_report_fields_coherent():
                         abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: diamond_instance(beta=0.3),
+    lambda: random_instance(seed=0, relays=3, beta=0.3),
+], ids=["diamond", "full-rayleigh-n3"])
+def test_verify_makes_one_solver_call(monkeypatch, make):
+    inst = make()
+    calls = count_linprog(monkeypatch)
+    oc.verify_instance(inst)
+    assert len(calls) == 1
+
+
+def test_reports_survive_replace_repr_and_pickle(monkeypatch):
+    inst = diamond_instance(beta=0.0)
+    shift_capacity(monkeypatch, "imperfect", 5.0)
+    with pytest.raises(oc.TheoremViolationError) as exc:
+        oc.verify_instance(inst)
+    report = exc.value.report
+    assert not hasattr(report, "__dict__") and not hasattr(report.assumptions, "__dict__")
+    copy = pickle.loads(pickle.dumps(report))
+    assert repr(copy) == repr(report)
+    assert copy.assumptions.worst == report.assumptions.worst
+    moved = dataclasses.replace(report, c_imperfect=0.0)
+    assert moved.c_imperfect == 0.0 and moved.assumptions is report.assumptions
+    assert "c_imperfect=0.0" in repr(moved)
+
+
 def test_verify_handles_dominance_violation_gracefully():
     inst = oc.NetworkInstance.from_links(
         4, {(0, 3): 2.0, (0, 4): 2.0, (0, 5): 2.0}, 1.0, 1.0, 1.0
@@ -227,13 +261,7 @@ def test_verify_linkless_instance():
 
 def test_verify_raises_on_injected_bug(monkeypatch):
     inst = diamond_instance(beta=0.0)
-    real = oc.capacity_imperfect
-
-    def inflated(instance, space=None):
-        result = real(instance, space)
-        return dataclasses.replace(result, value=result.value + 5.0)
-
-    monkeypatch.setattr(otocap.bounds, "capacity_imperfect", inflated)
+    shift_capacity(monkeypatch, "imperfect", 5.0)
     with pytest.raises(oc.TheoremViolationError):
         oc.verify_instance(inst)
 
@@ -258,28 +286,31 @@ def test_single_relay_gap_reported_but_not_enforced():
 
 def test_two_relay_enforcement_still_active(monkeypatch):
     inst = diamond_instance(beta=0.0)
+    real = otocap.bounds._capacities
 
-    def shifted(instance, space=None):
-        result = oc.capacity_ideal(instance, space=space)
-        return dataclasses.replace(result, value=result.value + 7.0, model_tag="imperfect")
+    def ideal_as_imperfect(instance, space, models, rates=None):
+        imperfect, ideal, tsn = real(instance, space, models, rates)
+        shifted = dataclasses.replace(ideal, value=ideal.value + 7.0, model_tag="imperfect",
+                                      blocks=imperfect.blocks)
+        return [shifted, ideal, tsn]
 
-    monkeypatch.setattr(otocap.bounds, "capacity_imperfect", shifted)
+    monkeypatch.setattr(otocap.bounds, "_capacities", ideal_as_imperfect)
     with pytest.raises(oc.TheoremViolationError):
         oc.verify_instance(inst)
 
 
 @pytest.mark.parametrize("model", ["imperfect", "ideal", "tsn"])
 def test_a_schedule_beaten_on_its_own_table_raises(monkeypatch, model):
-    # the LPs run in the order imperfect, ideal, tsn; the one for
-    # ``model`` returns the uniform schedule over its table's columns
+    # one call solves the imperfect, ideal and tsn blocks in that order;
+    # the block for ``model`` gets the uniform schedule over its columns
     inst = random_instance(seed=1, relays=3, beta=0.3)
-    calls = []
 
-    def uniform_for_one(problem, start=None):
-        calls.append(problem)
-        if len(calls) - 1 == ["imperfect", "ideal", "tsn"].index(model):
-            return np.full(problem.values.shape[1], 1.0 / problem.values.shape[1])
-        return oc.solve_maxmin(problem, start)
+    def uniform_for_one(*problems, starts=None):
+        assert len(problems) == 3
+        solved = oc.solve_maxmin(*problems, starts=starts)
+        k = ["imperfect", "ideal", "tsn"].index(model)
+        solved[k] = np.full(len(solved[k]), 1.0 / len(solved[k]))
+        return solved
 
     monkeypatch.setattr(otocap.capacity, "solve_maxmin", uniform_for_one)
     with pytest.raises(oc.SolverError, match=f"^{model} table: the \\w+ schedule is worth"):
@@ -300,13 +331,13 @@ def test_tsn_bound_holds_across_beta_range():
 # condition holds (max rho ~0.99 here), so that a gap of 5 bits sits
 # between N log2 N = 2 and the ideal-gap bound of ~13.3.
 THEOREM_CASES = [
-    ("ideal-gap-bound", lambda: diamond_instance(beta=0.0), "capacity_imperfect", 5.0),
+    ("ideal-gap-bound", lambda: diamond_instance(beta=0.0), "imperfect", 5.0),
     ("constant-gap-bound",
      lambda: oc.generate(oc.GenSpec(topology="full", relays=2, alpha=10.0, beta=0.1)),
-     "capacity_imperfect", 5.0),
-    ("tsn-dominated-by-ideal", lambda: diamond_instance(beta=0.0), "rate_tsn", 5.0),
-    ("tsn-gap-bound", lambda: diamond_instance(beta=0.0), "rate_tsn", -5.0),
-    ("ideal-degeneration", lambda: diamond_instance(beta=0.0), "capacity_imperfect", 0.5),
+     "imperfect", 5.0),
+    ("tsn-dominated-by-ideal", lambda: diamond_instance(beta=0.0), "tsn", 5.0),
+    ("tsn-gap-bound", lambda: diamond_instance(beta=0.0), "tsn", -5.0),
+    ("ideal-degeneration", lambda: diamond_instance(beta=0.0), "imperfect", 0.5),
 ]
 
 
@@ -315,13 +346,7 @@ THEOREM_CASES = [
 def test_each_theorem_fires_under_its_own_name(monkeypatch, name, make, model, shift):
     inst = make()
     assert name in oc.verify_instance(inst).enforced
-    real = getattr(otocap.bounds, model)
-
-    def shifted(instance, space=None):
-        result = real(instance, space)
-        return dataclasses.replace(result, value=result.value + shift)
-
-    monkeypatch.setattr(otocap.bounds, model, shifted)
+    shift_capacity(monkeypatch, model, shift)
     with pytest.raises(oc.TheoremViolationError) as exc:
         oc.verify_instance(inst)
     assert exc.value.name == name

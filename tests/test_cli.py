@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -13,8 +12,9 @@ import numpy as np
 import pytest
 
 import otocap as oc
-import otocap.bounds
+import otocap.capacity
 import otocap.cli
+from conftest import count_linprog, shift_capacity
 from otocap.cli import (
     REPORT_COLUMNS,
     InstanceFormatError,
@@ -248,18 +248,35 @@ def test_capacity_json_all_models(tmp_path, capsys):
 def test_capacity_json_schedules_in_canonical_pattern_order(tmp_path, capsys):
     inst, path = write_instance(tmp_path, topology="full", relays=3, channel="rayleigh",
                                 beta=0.3, seed=4)
-    assert main(["capacity", path, "--model", "all", "--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr()[0])
-    canonical = oc.build_state_space(inst).patterns
-    models = {"imperfect": oc.capacity_imperfect, "ideal": oc.capacity_ideal,
-              "tsn": oc.rate_tsn}
-    for r in doc["results"]:
-        weights = models[r["model"]](inst).schedule.weights
-        listed = [oc.AlignmentPattern(tuple(map(tuple, s["pattern"]))) for s in r["schedule"]]
-        assert listed == [p for p in canonical if p in listed]
-        assert listed == list(weights)
-        for pattern, s in zip(listed, r["schedule"]):
-            assert s["weight"] == weights[pattern]
+    space = oc.build_state_space(inst)
+    canonical = space.patterns
+    # --model all solves the three LPs together, and a degenerate LP may
+    # then stop at another optimal vertex than when it is solved alone;
+    # a single-model command prints what its library function returns
+    stacked = otocap.capacity._capacities(inst, space, otocap.capacity.MODELS)
+    solo = {"imperfect": oc.capacity_imperfect, "ideal": oc.capacity_ideal, "tsn": oc.rate_tsn}
+    commands = [("all", stacked)] + [(m, [f(inst)]) for m, f in solo.items()]
+    for flag, want in commands:
+        assert main(["capacity", path, "--model", flag, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr()[0])
+        assert [r["model"] for r in doc["results"]] == [w.model_tag for w in want]
+        for r, result in zip(doc["results"], want):
+            weights = result.schedule.weights
+            listed = [oc.AlignmentPattern(tuple(map(tuple, s["pattern"]))) for s in r["schedule"]]
+            assert listed == [p for p in canonical if p in listed]
+            assert listed == list(weights)
+            for pattern, s in zip(listed, r["schedule"]):
+                assert s["weight"] == weights[pattern]
+            # solved alone or stacked, each model reaches the same optimum
+            assert math.isclose(r["value_bits"], solo[r["model"]](inst).value, rel_tol=1e-9)
+
+
+def test_capacity_all_models_make_one_solver_call(tmp_path, capsys, monkeypatch):
+    _, path = write_instance(tmp_path, topology="full", relays=3, channel="rayleigh", beta=0.3)
+    calls = count_linprog(monkeypatch)
+    assert main(["capacity", path, "--model", "all"]) == 0
+    assert len(calls) == 1
+    assert len(json.loads(capsys.readouterr()[0])["results"]) == 3
 
 
 def test_capacity_single_model_csv(tmp_path, capsys):
@@ -360,13 +377,7 @@ def test_verify_without_report_file(capsys):
 
 
 def test_verify_flags_injected_bug_with_exit_4(capsys, monkeypatch):
-    real = oc.capacity_imperfect
-
-    def inflated(instance, space=None):
-        result = real(instance, space)
-        return dataclasses.replace(result, value=result.value + 3.0)
-
-    monkeypatch.setattr(otocap.bounds, "capacity_imperfect", inflated)
+    shift_capacity(monkeypatch, "imperfect", 3.0)
     rc = main(["verify", "--trials", "2", "--topology", "line", "--relays", "1",
                "--seed", "7"])
     assert rc == 4
@@ -457,14 +468,7 @@ def test_sweep_bad_ranges_exit_2(tmp_path, capsys):
 def test_sweep_flags_injected_bug_with_exit_4_and_keeps_earlier_rows(
         tmp_path, capsys, monkeypatch):
     _, path = write_instance(tmp_path, topology="diamond", relays=2)
-    real = oc.rate_tsn
-
-    def inflated(instance, space=None):
-        result = real(instance, space)
-        bump = 5.0 if instance.beta >= 0.5 else 0.0
-        return dataclasses.replace(result, value=result.value + bump)
-
-    monkeypatch.setattr(otocap.bounds, "rate_tsn", inflated)
+    shift_capacity(monkeypatch, "tsn", lambda instance: 5.0 if instance.beta >= 0.5 else 0.0)
     report = tmp_path / "sweep.csv"
     rc = main(["sweep", path, "--param", "beta", "--from", "0", "--to", "1",
                "--steps", "5", "-o", str(report)])

@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 import otocap as oc
-from conftest import diamond_instance, edge_lp, line_instance, maxmin_oracle, random_instance
+from conftest import (
+    count_linprog,
+    diamond_instance,
+    edge_lp,
+    line_instance,
+    maxmin_oracle,
+    random_instance,
+)
 
 
 def solve(v):
     """(weight vector, max-min value) of the pattern LP over table v."""
     v = np.asarray(v, dtype=float)
-    lam = oc.solve_maxmin(oc.MaxMinProblem(v))
+    (lam,) = oc.solve_maxmin(oc.MaxMinProblem(v))
     return lam, float(np.min(v @ lam))
 
 
@@ -84,33 +91,77 @@ def weak_start_table():
     return v, np.arange(3)
 
 
+def random_tables():
+    """Three random tables of different shapes, none with a weak start."""
+    rng = np.random.Generator(np.random.Philox(82))
+    return [rng.uniform(0.0, 4.0, size=shape) for shape in ((5, 9), (3, 4), (8, 17))]
+
+
+def record_rounds(monkeypatch):
+    """Per round, the column count of each master solved in it."""
+    rounds = []
+    master = oc.optimize._solve_master
+
+    def counted_master(tables):
+        rounds.append([t.shape[1] for t in tables])
+        return master(tables)
+
+    monkeypatch.setattr(oc.optimize, "_solve_master", counted_master)
+    return rounds
+
+
 def test_pricing_certifies_a_suboptimal_start(monkeypatch):
     v, start = weak_start_table()
-    rounds, entered = [], []
-    master, price = oc.optimize._solve_master, oc.optimize._entering_columns
-
-    def counted_master(table):
-        rounds.append(table.shape[1])
-        return master(table)
+    entered = []
+    price = oc.optimize._entering_columns
 
     def recorded_price(*args):
         columns = price(*args)
         entered.extend(columns.tolist())
         return columns
 
-    monkeypatch.setattr(oc.optimize, "_solve_master", counted_master)
+    rounds = record_rounds(monkeypatch)
     monkeypatch.setattr(oc.optimize, "_entering_columns", recorded_price)
-    lam = oc.solve_maxmin(oc.MaxMinProblem(v), start)
+    (lam,) = oc.solve_maxmin(oc.MaxMinProblem(v), starts=[start])
 
-    assert len(rounds) >= 2
+    sizes = [size for (size,) in rounds]
+    assert len(sizes) >= 2
     # each round adds at most COLUMNS_PER_ROUND new columns
-    assert all(0 < b - a <= oc.optimize.COLUMNS_PER_ROUND for a, b in zip(rounds, rounds[1:]))
+    assert all(0 < b - a <= oc.optimize.COLUMNS_PER_ROUND for a, b in zip(sizes, sizes[1:]))
     assert len(set(entered)) == len(entered) and not set(entered) & set(start.tolist())
     assert set(np.flatnonzero(lam).tolist()) <= set(start.tolist()) | set(entered)
     assert math.isclose(lam.sum(), 1.0, abs_tol=1e-9)
     want = maxmin_oracle(v)
     assert want > float(np.min(v[:, start] @ np.ones(3) / 3)) + 0.1
     assert math.isclose(float(np.min(v @ lam)), want, rel_tol=1e-9)
+
+
+def test_stacked_blocks_each_reach_their_own_optimum(monkeypatch):
+    tables = random_tables()
+    calls = count_linprog(monkeypatch)
+    solved = oc.solve_maxmin(*map(oc.MaxMinProblem, tables))
+    assert len(calls) == 1
+    assert [lam.shape for lam in solved] == [(v.shape[1],) for v in tables]
+    for v, lam in zip(tables, solved):
+        assert np.all(lam >= 0) and math.isclose(lam.sum(), 1.0, abs_tol=1e-9)
+        assert math.isclose(float(np.min(v @ lam)), maxmin_oracle(v), rel_tol=1e-9)
+
+
+def test_a_mixed_round_solves_only_the_open_block(monkeypatch):
+    weak, _ = weak_start_table()
+    tables = [weak, *random_tables()[:2]]
+    rounds = record_rounds(monkeypatch)
+    # the weak table starts from one poor column; the others from all of theirs
+    solved = oc.solve_maxmin(*map(oc.MaxMinProblem, tables), starts=[np.array([0]), None, None])
+
+    assert rounds[0] == [1, tables[1].shape[1], tables[2].shape[1]]
+    assert len(rounds) >= 2
+    # the two full tables certify in round 1; later rounds solve the weak
+    # one alone, over a master that grows every round
+    assert all(len(r) == 1 for r in rounds[1:])
+    assert all(a[0] < b[0] for a, b in zip(rounds, rounds[1:]))
+    for v, lam in zip(tables, solved):
+        assert math.isclose(float(np.min(v @ lam)), maxmin_oracle(v), rel_tol=1e-9)
 
 
 def test_entering_columns_are_the_best_priced_outside_the_master():
@@ -121,28 +172,38 @@ def test_entering_columns_are_the_best_priced_outside_the_master():
     assert got.tolist() == [11, 2, 6, 4, 7, 0, 8, 3]
 
 
-def test_open_gap_without_entering_columns_raises(monkeypatch):
+def weak_last(others):
+    """The weak table after ``others`` tables that certify in round 1, and
+    the start columns of all of them."""
     v, start = weak_start_table()
+    return [*random_tables()[:others], v], [None] * others + [start]
+
+
+def test_open_gap_without_entering_columns_raises(monkeypatch):
     monkeypatch.setattr(oc.optimize, "_entering_columns",
                         lambda *args: np.array([], dtype=np.intp))
-    with pytest.raises(oc.SolverError, match="pricing adds no column"):
-        oc.solve_maxmin(oc.MaxMinProblem(v), start)
+    for others in (0, 2):
+        tables, starts = weak_last(others)
+        with pytest.raises(oc.SolverError, match="pricing adds no column"):
+            oc.solve_maxmin(*map(oc.MaxMinProblem, tables), starts=starts)
 
 
 def test_round_cap_raises(monkeypatch):
-    v, start = weak_start_table()
     monkeypatch.setattr(oc.optimize, "MAX_ROUNDS", 1)
-    with pytest.raises(oc.SolverError, match="not certified after 1 rounds"):
-        oc.solve_maxmin(oc.MaxMinProblem(v), start)
-    # the full table certifies in its first round
-    lam = oc.solve_maxmin(oc.MaxMinProblem(v))
-    assert math.isclose(float(np.min(v @ lam)), maxmin_oracle(v), rel_tol=1e-9)
+    for others in (0, 2):
+        tables, starts = weak_last(others)
+        with pytest.raises(oc.SolverError, match="not certified after 1 rounds"):
+            oc.solve_maxmin(*map(oc.MaxMinProblem, tables), starts=starts)
+        # the full tables certify in their first round
+        for table, lam in zip(tables, oc.solve_maxmin(*map(oc.MaxMinProblem, tables))):
+            assert math.isclose(float(np.min(table @ lam)), maxmin_oracle(table), rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("solve_lp", [
     lambda: solve([[1.0, 0.0], [0.0, 1.0]]),
-    lambda: oc.solve_maxmin(oc.MaxMinProblem(np.eye(3)), np.array([0])),
-], ids=["pattern_lp", "priced_master"])
+    lambda: oc.solve_maxmin(oc.MaxMinProblem(np.eye(3)), starts=[np.array([0])]),
+    lambda: oc.solve_maxmin(*map(oc.MaxMinProblem, random_tables())),
+], ids=["pattern_lp", "priced_master", "stacked_blocks"])
 def test_missing_marginals_raise_solver_error(monkeypatch, solve_lp):
     real = oc.optimize.linprog
 
