@@ -57,7 +57,6 @@ from .model import (
 )
 from .optimize import (
     MaxMinProblem,
-    Schedule,
     SolverError,
     decompose_edge_fractions,
     solve_maxmin,
@@ -82,7 +81,6 @@ __all__ = [
     "MaxMinProblem",
     "NetworkInstance",
     "RatioCondition",
-    "Schedule",
     "SolverError",
     "StateSpace",
     "TheoremViolationError",

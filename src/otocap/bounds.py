@@ -93,6 +93,7 @@ class GapReport:
 
     ``enforced`` names the theorems that applied to the instance and
     were checked, in check order; the others were reported only.
+    ``schedule_supports`` counts each model's patterns of nonzero weight.
     """
 
     num_relays: int
@@ -316,11 +317,7 @@ def verify_instance(inst: NetworkInstance) -> GapReport:
         tsn_gap=tsn_gap,
         tsn_gap_bound=tsn_bound,
         assumptions=assumptions,
-        schedule_supports={
-            "imperfect": imperfect.schedule.support_size,
-            "ideal": ideal.schedule.support_size,
-            "tsn": tsn.schedule.support_size,
-        },
+        schedule_supports={r.model_tag: int(np.count_nonzero(r.weights)) for r in results},
         enforced=tuple(name for name, applies, _, _ in theorems if applies),
     )
     _enforce(report, theorems)

@@ -26,7 +26,9 @@ The models' tables come from one state space and one set of link rates,
 and ``solve_maxmin`` solves the tables of every model asked for
 together, in one HiGHS call per pricing round: ``verify_instance`` and
 ``otocap capacity --model all`` ask for all three models, and each
-public function below asks for its own model alone.
+public function below asks for its own model alone.  A result's
+schedule is its weight vector over ``space.patterns``; only the CLI
+names patterns, when it prints them.
 
 All rates are bits per channel use, logs base 2.
 """
@@ -41,7 +43,7 @@ import numpy as np
 from .enumeration import StateSpace, build_state_space
 from .matrices import CutBlockTables, cut_block_tables
 from .model import NetworkInstance
-from .optimize import MaxMinProblem, Schedule, solve_maxmin
+from .optimize import MaxMinProblem, solve_maxmin
 
 __all__ = [
     "LinkRates",
@@ -119,14 +121,14 @@ class CapacityResult:
     """A capacity value with the schedule that achieves it.
 
     ``value`` is the least value the schedule achieves across any cut of
-    the state space.  ``weights`` holds the schedule's weight of every
-    ``space.patterns`` row.  ``blocks`` holds the imperfect model's
-    cut-block tables, whose dominance ratios the assumption check can
-    reuse; it is None for the other models.
+    the state space.  ``weights`` is the schedule: the time share of
+    every ``space.patterns`` row, summing to one, zero off its support.
+    ``blocks`` holds the imperfect model's cut-block tables, whose
+    dominance ratios the assumption check can reuse; it is None for the
+    other models.
     """
 
     value: float
-    schedule: Schedule
     model_tag: str
     weights: np.ndarray = field(repr=False, compare=False)
     blocks: CutBlockTables | None = field(default=None, repr=False, compare=False)
@@ -157,39 +159,21 @@ def _capacities(
     # the imperfect LP starts from the maximal columns of its full table;
     # a linear table has only those columns
     maximal = np.flatnonzero(space.maximal)
-    every = np.arange(len(space.incidence))
     solved = solve_maxmin(*tables, starts=[maximal if tag == "imperfect" else None
                                            for tag in models])
-    return [
-        _result(space, tag, table, every, lam, blocks) if tag == "imperfect"
-        else _result(space, tag, table, maximal, lam, None)
-        for tag, table, lam in zip(models, tables, solved)
-    ]
-
-
-def _result(
-    space: StateSpace,
-    tag: str,
-    table: MaxMinProblem,
-    columns: np.ndarray,
-    lam: np.ndarray,
-    blocks: CutBlockTables | None,
-) -> CapacityResult:
-    """The result of weights ``lam`` over a table whose column k is
-    ``space.patterns[columns[k]]``.
-
-    ``columns`` ascends, so the schedule stays in canonical pattern order.
-    """
-    weights = np.zeros(len(space.incidence))
-    weights[columns] = lam
-    return CapacityResult(
-        value=float(np.min(table.values @ lam)),
-        schedule=Schedule({space.patterns[k]: float(weights[k])
-                           for k in np.flatnonzero(weights)}),
-        model_tag=tag,
-        weights=weights,
-        blocks=blocks,
-    )
+    results = []
+    for tag, table, lam in zip(models, tables, solved):
+        weights = lam
+        if tag != "imperfect":
+            weights = np.zeros(len(space.incidence))
+            weights[maximal] = lam
+        results.append(CapacityResult(
+            value=float(np.min(table.values @ lam)),
+            model_tag=tag,
+            weights=weights,
+            blocks=blocks if tag == "imperfect" else None,
+        ))
+    return results
 
 
 def capacity_imperfect(

@@ -2,8 +2,9 @@
 
 Exit codes are stable: 0 success, 2 malformed input or arguments or an
 output file that cannot be written, 3 instance exceeds an enumeration
-cap, 4 a computed gap violated a bound it should satisfy (always a bug,
-never silently accepted).
+cap, 4 a computed result failed its own check: a gap violated a bound
+it should satisfy, or the LP solver failed or returned a certificate
+outside tolerance (never silently accepted).
 Standard output carries only machine-readable payloads; everything
 meant for humans goes to standard error.
 
@@ -30,11 +31,14 @@ import time
 from contextlib import nullcontext
 from dataclasses import replace
 
+import numpy as np
+
 from .bounds import GapReport, TheoremViolationError, verify_instance
 from .capacity import MODELS, CapacityResult, _capacities
-from .enumeration import EnumerationCapError, build_state_space
+from .enumeration import EnumerationCapError, StateSpace, build_state_space
 from .instancegen import CHANNELS, TOPOLOGIES, GenSpec, generate
 from .model import NetworkInstance
+from .optimize import SolverError
 
 __all__ = [
     "InstanceFormatError",
@@ -227,7 +231,8 @@ def _verify_cases(cases, path: str | None, fallback=None) -> list[GapReport] | N
 
     Rows go to ``path``, else to ``fallback`` (no rows when both are
     None).  On a theorem violation the case's ``where`` goes to stderr
-    and None is returned; the rows before it stay written.
+    and None is returned; the rows before it stay written, as they do
+    when a SolverError propagates.
     """
     with open(path, "w", newline="") if path else nullcontext(fallback) as out:
         writer = None if out is None else csv.DictWriter(out, fieldnames=REPORT_COLUMNS)
@@ -277,17 +282,20 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _schedule_payload(result: CapacityResult) -> list[dict]:
+def _schedule_payload(result: CapacityResult, space: StateSpace) -> list[dict]:
+    """Each pattern of nonzero weight with its weight, in canonical order."""
     return [
-        {"pattern": [list(pair) for pair in pattern.pairs], "weight": weight}
-        for pattern, weight in result.schedule.weights.items()
+        {"pattern": [list(pair) for pair in space.patterns[k].pairs],
+         "weight": float(result.weights[k])}
+        for k in np.flatnonzero(result.weights)
     ]
 
 
 def cmd_capacity(args) -> int:
     inst = load_instance(args.instance)
     models = MODELS if args.model == "all" else (args.model,)
-    results = _capacities(inst, build_state_space(inst), models)
+    space = build_state_space(inst)
+    results = _capacities(inst, space, models)
 
     if args.format == "json":
         doc = {
@@ -296,7 +304,7 @@ def cmd_capacity(args) -> int:
                 {
                     "model": r.model_tag,
                     "value_bits": r.value,
-                    "schedule": _schedule_payload(r),
+                    "schedule": _schedule_payload(r, space),
                 }
                 for r in results
             ],
@@ -309,9 +317,9 @@ def cmd_capacity(args) -> int:
         for r in results:
             packed = ";".join(
                 "+".join(f"{i}-{j}" for i, j in entry_["pattern"]) + f"@{entry_['weight']:.12g}"
-                for entry_ in _schedule_payload(r)
+                for entry_ in _schedule_payload(r, space)
             )
-            writer.writerow([r.model_tag, f"{r.value:.12g}", r.schedule.support_size, packed])
+            writer.writerow([r.model_tag, f"{r.value:.12g}", np.count_nonzero(r.weights), packed])
         out = buf.getvalue().rstrip("\n")
 
     if args.output:
@@ -430,6 +438,9 @@ def main(argv=None) -> int:
         return 3
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
+        return 4
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
         return 4
     except (InstanceFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,8 +56,9 @@ class GenSpec:
 
 def friis_amplitude(distance_m: float, frequency_ghz: float) -> float:
     """Free-space amplitude c / (4 pi d f)."""
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
+    for name, value in (("distance", distance_m), ("frequency", frequency_ghz)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     return SPEED_OF_LIGHT / (4.0 * np.pi * distance_m * frequency_ghz * 1e9)
 
 
@@ -120,8 +121,8 @@ def generate(spec: GenSpec) -> NetworkInstance:
     _check_relay_count(spec.relays)
     if not 0.0 <= spec.edge_probability <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
-    if spec.scale <= 0:
-        raise ValueError("rayleigh scale must be positive")
+    if not 0.0 < spec.scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {spec.scale}")
 
     rng = np.random.Generator(np.random.Philox(spec.seed))
     links = _topology_links(spec, rng)

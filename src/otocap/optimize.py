@@ -23,8 +23,8 @@ LP has several optimal vertices may end at another of them stacked than
 alone: the value is the same, the weights may differ.
 
 ``decompose_edge_fractions`` peels per-link activation fractions under
-unit transmit/receive budgets into a schedule over partial matchings.
-Schedules are keyed by ``AlignmentPattern``.
+unit transmit/receive budgets into a schedule over partial matchings,
+a dict from ``AlignmentPattern`` to weight in canonical pattern order.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .model import EMPTY_PATTERN, AlignmentPattern
 
 __all__ = [
     "MaxMinProblem",
-    "Schedule",
     "SolverError",
     "solve_maxmin",
     "decompose_edge_fractions",
@@ -81,24 +80,6 @@ class MaxMinProblem:
         if np.min(v) < -WEIGHT_FLOOR:
             raise ValueError("value table contains negative entries")
         object.__setattr__(self, "values", np.maximum(v, 0.0))
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Activation-time distribution over alignment patterns.
-
-    ``weights`` keeps only strictly positive entries, in canonical
-    pattern order (ascending ``pairs``, empty pattern first).
-    """
-
-    weights: dict[AlignmentPattern, float]
-
-    @property
-    def support_size(self) -> int:
-        return len(self.weights)
-
-    def total(self) -> float:
-        return float(sum(self.weights.values()))
 
 
 def _solve_master(tables: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -221,7 +202,7 @@ def solve_maxmin(
     raise SolverError(f"max-min LP not certified after {MAX_ROUNDS} rounds (gap {max(gaps):.3e})")
 
 
-def decompose_edge_fractions(x: Mapping[tuple[int, int], float]) -> Schedule:
+def decompose_edge_fractions(x: Mapping[tuple[int, int], float]) -> dict[AlignmentPattern, float]:
     """Peel edge fractions x[(i, j)] into a schedule over partial matchings.
 
     Repeatedly extracts a matching that covers every node whose residual
@@ -231,6 +212,8 @@ def decompose_edge_fractions(x: Mapping[tuple[int, int], float]) -> Schedule:
     within #edges + #nodes rounds: every round either zeroes an edge or
     promotes a new node to the maximum-load set.  Leftover time goes to
     the empty pattern.  Reproduces every x[e] exactly (to 1e-9).
+    Returns each pattern's weight, strictly positive, in canonical
+    pattern order (ascending ``pairs``, empty pattern first).
     """
     for e, v in x.items():
         i, j = e
@@ -287,7 +270,7 @@ def decompose_edge_fractions(x: Mapping[tuple[int, int], float]) -> Schedule:
     remainder = 1.0 - sum(out.values())
     if remainder > WEIGHT_FLOOR:
         out[EMPTY_PATTERN] = remainder
-    return Schedule(weights=dict(sorted(out.items(), key=lambda kv: kv[0].pairs)))
+    return dict(sorted(out.items(), key=lambda kv: kv[0].pairs))
 
 
 def _cover_matching(residual, tx_nodes, rx_nodes, tight_tx, tight_rx):

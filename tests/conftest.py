@@ -364,7 +364,8 @@ def edge_lp(inst, rates):
 
 def edge_route(inst):
     """The ideal model through the edge LP: (LP value, per-cut values of
-    the schedule decomposed from its fractions, that schedule).
+    the schedule decomposed from its fractions, that schedule as a dict
+    from pattern to weight).
 
     Each cut's value sums, over the schedule's patterns, the weight times
     the rates of the aligned links that leave the cut's source side.
@@ -373,7 +374,7 @@ def edge_route(inst):
     value, fractions = edge_lp(inst, rates)
     schedule = oc.decompose_edge_fractions(fractions)
     per_cut = np.array([
-        sum(w * rates[(i, j)] for pattern, w in schedule.weights.items()
+        sum(w * rates[(i, j)] for pattern, w in schedule.items()
             for i, j in pattern.pairs if i in side and j not in side)
         for side in source_sides(inst.num_relays)
     ])

@@ -228,6 +228,21 @@ def test_gen_invalid_spec_exit_2(capsys):
     assert err == "error: power must be positive, got -1.0\n"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--channel", "los", "--spacing", "inf"], "distance must be positive and finite, got inf"),
+    (["--channel", "los", "--spacing", "nan"], "distance must be positive and finite, got nan"),
+    (["--channel", "rayleigh", "--scale", "nan"], "scale must be positive and finite, got nan"),
+    (["--channel", "rayleigh", "--scale", "inf"], "scale must be positive and finite, got inf"),
+    (["--channel", "unit", "--scale", "nan"], "scale must be positive and finite, got nan"),
+], ids=["los-spacing-inf", "los-spacing-nan", "rayleigh-scale-nan", "rayleigh-scale-inf",
+        "unit-scale-nan"])
+def test_gen_non_finite_physical_parameter_exit_2(capsys, flags, message):
+    assert main(["gen", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # -- capacity --------------------------------------------------------------
 
 
@@ -261,12 +276,11 @@ def test_capacity_json_schedules_in_canonical_pattern_order(tmp_path, capsys):
         doc = json.loads(capsys.readouterr()[0])
         assert [r["model"] for r in doc["results"]] == [w.model_tag for w in want]
         for r, result in zip(doc["results"], want):
-            weights = result.schedule.weights
+            support = np.flatnonzero(result.weights)
             listed = [oc.AlignmentPattern(tuple(map(tuple, s["pattern"]))) for s in r["schedule"]]
             assert listed == [p for p in canonical if p in listed]
-            assert listed == list(weights)
-            for pattern, s in zip(listed, r["schedule"]):
-                assert s["weight"] == weights[pattern]
+            assert listed == [canonical[k] for k in support]
+            assert [s["weight"] for s in r["schedule"]] == result.weights[support].tolist()
             # solved alone or stacked, each model reaches the same optimum
             assert math.isclose(r["value_bits"], solo[r["model"]](inst).value, rel_tol=1e-9)
 
@@ -343,6 +357,19 @@ def test_bad_cap_env_exit_3(tmp_path, capsys, monkeypatch):
     assert "OTO_CAP_MAX_RELAYS" in err
 
 
+def test_capacity_solver_error_exit_4(tmp_path, capsys, monkeypatch):
+    _, path = write_instance(tmp_path, topology="line", relays=1)
+
+    def failing(*problems, starts=None):
+        raise oc.SolverError("max-min LP failed: status 4 (numerical difficulties)")
+
+    monkeypatch.setattr(otocap.capacity, "solve_maxmin", failing)
+    assert main(["capacity", path]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "solver error: max-min LP failed: status 4 (numerical difficulties)\n"
+
+
 # -- verify ----------------------------------------------------------------
 
 
@@ -383,6 +410,27 @@ def test_verify_flags_injected_bug_with_exit_4(capsys, monkeypatch):
     assert rc == 4
     _, err = capsys.readouterr()
     assert "theorem violation at seed 7" in err
+
+
+def test_verify_solver_error_exit_4_and_keeps_earlier_rows(tmp_path, capsys, monkeypatch):
+    real = otocap.capacity.solve_maxmin
+    calls = []
+
+    def failing_second(*problems, starts=None):
+        calls.append(1)
+        if len(calls) == 2:
+            raise oc.SolverError("max-min LP not certified after 50 rounds (gap 1.000e-03)")
+        return real(*problems, starts=starts)
+
+    monkeypatch.setattr(otocap.capacity, "solve_maxmin", failing_second)
+    report = tmp_path / "report.csv"
+    rc = main(["verify", "--trials", "3", "--topology", "line", "--relays", "1",
+               "--seed", "5", "-o", str(report)])
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "solver error: max-min LP not certified after 50 rounds (gap 1.000e-03)\n"
+    assert [r["seed"] for r in read_csv(report.read_text())] == ["5"]
 
 
 def test_verify_summary_counts_only_enforced_ideal_gap_bounds(capsys):

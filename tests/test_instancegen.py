@@ -93,6 +93,11 @@ def test_friis_amplitude_hand_value():
         oc.friis_amplitude(0.0, 60.0)
     with pytest.raises(ValueError):
         oc.friis_amplitude(-1.0, 60.0)
+    for bad in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match=f"^distance must be positive and finite, got {bad}$"):
+            oc.friis_amplitude(bad, 60.0)
+        with pytest.raises(ValueError, match=f"^frequency must be positive and finite, got {bad}$"):
+            oc.friis_amplitude(10.0, bad)
 
 
 def test_los_channel_uses_distances():

@@ -249,11 +249,11 @@ def test_edge_lp_diamond_value_and_budgets():
 
 def test_decompose_trivial_cases():
     sched = oc.decompose_edge_fractions({(0, 1): 1.0})
-    assert sched.weights.keys() == {oc.AlignmentPattern(((0, 1),))}
-    assert math.isclose(sched.weights[oc.AlignmentPattern(((0, 1),))], 1.0, abs_tol=1e-9)
+    assert sched.keys() == {oc.AlignmentPattern(((0, 1),))}
+    assert math.isclose(sched[oc.AlignmentPattern(((0, 1),))], 1.0, abs_tol=1e-9)
 
     sched = oc.decompose_edge_fractions({})
-    assert sched.weights == {oc.EMPTY_PATTERN: 1.0}
+    assert sched == {oc.EMPTY_PATTERN: 1.0}
 
 
 def test_decompose_diamond_half_fractions():
@@ -262,9 +262,9 @@ def test_decompose_diamond_half_fractions():
     # both the perfect-matching and the path-matching splits are valid).
     inst = diamond_instance()
     sched = oc.decompose_edge_fractions({e: 0.5 for e in inst.links()})
-    assert len(sched.weights) == 2
+    assert len(sched) == 2
     per_edge = {e: 0.0 for e in inst.links()}
-    for pattern, w in sched.weights.items():
+    for pattern, w in sched.items():
         assert math.isclose(w, 0.5, abs_tol=1e-9)
         assert len(pattern.pairs) == 2
         for pair in pattern.pairs:
@@ -292,7 +292,7 @@ def test_decompose_rejects_fraction_above_one():
         oc.decompose_edge_fractions({(0, 1): 1.0 + 2 * slack})
     # within the slack a fraction still counts as the full unit budget
     sched = oc.decompose_edge_fractions({(0, 1): 1.0 + slack / 2})
-    assert list(sched.weights) == [oc.AlignmentPattern(((0, 1),))]
+    assert list(sched) == [oc.AlignmentPattern(((0, 1),))]
     # NaN and negative fractions are malformed input, not idle time
     with pytest.raises(ValueError, match="must be nonnegative, got nan"):
         oc.decompose_edge_fractions({(0, 1): float("nan")})
@@ -323,17 +323,17 @@ def test_decompose_reproduces_random_fractions(seed):
 
     sched = oc.decompose_edge_fractions(x)
 
-    assert sched.total() <= 1 + 1e-9
-    assert all(w > 0 for w in sched.weights.values())
-    assert len(sched.weights) <= len(links) + inst.num_relays + 2 + 1
+    assert sum(sched.values()) <= 1 + 1e-9
+    assert all(w > 0 for w in sched.values())
+    assert len(sched) <= len(links) + inst.num_relays + 2 + 1
     # pattern keys over the instance's links, in canonical pattern order
-    assert all(isinstance(p, oc.AlignmentPattern) for p in sched.weights)
-    assert {pair for p in sched.weights for pair in p.pairs} <= set(links)
+    assert all(isinstance(p, oc.AlignmentPattern) for p in sched)
+    assert {pair for p in sched for pair in p.pairs} <= set(links)
     canonical = oc.build_state_space(inst).patterns
-    assert list(sched.weights) == [p for p in canonical if p in sched.weights]
+    assert list(sched) == [p for p in canonical if p in sched]
 
     per_edge = {e: 0.0 for e in links}
-    for pattern, w in sched.weights.items():
+    for pattern, w in sched.items():
         for pair in pattern.pairs:
             per_edge[pair] += w
     for e in links:
@@ -345,4 +345,4 @@ def test_decompose_saturated_budgets():
     inst = line_instance(3)
     x = {e: 1.0 for e in inst.links()}
     sched = oc.decompose_edge_fractions(x)
-    assert sched.weights == {oc.AlignmentPattern(tuple(inst.links())): 1.0}
+    assert sched == {oc.AlignmentPattern(tuple(inst.links())): 1.0}
